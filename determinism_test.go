@@ -1,8 +1,10 @@
 package repro_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -34,8 +36,59 @@ func goldenFig06(workers int) *surface.Surface {
 //
 //	UPDATE_GOLDEN=1 go test -run TestGoldenFig06 .
 func TestGoldenFig06(t *testing.T) {
-	got := goldenFig06(1).CSV()
-	path := filepath.Join("testdata", "fig06_t3e_reduced.csv")
+	checkGolden(t, "fig06_t3e_reduced.csv", goldenFig06(1).CSV())
+}
+
+// The Figures 9-11 local-copy curves at reduced axes: both strided
+// sides on all three machines at one working set. Source and
+// destination together overflow every cache (the 8400's 4 MB L3
+// included), so copies evict dirty lines through each hierarchy.
+var (
+	goldenCopyStrides = []int{1, 2, 7, 16, 64}
+	goldenCopyWS      = 4 * units.MB
+)
+
+// goldenCopyCurves renders the reduced copy curves as CSV with every
+// bandwidth at full float64 precision.
+func goldenCopyCurves() string {
+	var b strings.Builder
+	b.WriteString("machine,strided,stride,bytes_per_s\n")
+	for _, mk := range []func() machine.Machine{
+		func() machine.Machine { return machine.NewDEC8400(4) },
+		func() machine.Machine { return machine.NewT3D(4) },
+		func() machine.Machine { return machine.NewT3E(4) },
+	} {
+		p := sweep.NewPool(mk, 1)
+		for _, stridedLoads := range []bool{true, false} {
+			side := "stores"
+			if stridedLoads {
+				side = "loads"
+			}
+			c := bench.CopyCurve(p, 0, goldenCopyWS, goldenCopyStrides, stridedLoads)
+			for i, st := range c.Strides {
+				fmt.Fprintf(&b, "%s,%s,%d,%s\n", c.Machine, side, st,
+					strconv.FormatFloat(float64(c.BW[i]), 'g', -1, 64))
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestGoldenCopyCurves pins the reduced Figures 9-11 curves. Nothing
+// else in the suite covers LocalCopy's load-then-store priming, so a
+// change to either prime path that moved a copy figure shows here.
+// Regenerate deliberately with:
+//
+//	UPDATE_GOLDEN=1 go test -run TestGoldenCopyCurves .
+func TestGoldenCopyCurves(t *testing.T) {
+	checkGolden(t, "fig09-11_copy_reduced.csv", goldenCopyCurves())
+}
+
+// checkGolden compares got with the fixture testdata/name, or
+// rewrites the fixture when UPDATE_GOLDEN is set.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -48,7 +101,7 @@ func TestGoldenFig06(t *testing.T) {
 		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create the fixture)", err)
 	}
 	if got != string(want) {
-		t.Errorf("reduced Figure 6 CSV differs from golden fixture %s;\n"+
+		t.Errorf("output differs from golden fixture %s;\n"+
 			"if the simulator change is intentional, regenerate with UPDATE_GOLDEN=1", path)
 	}
 }

@@ -46,7 +46,7 @@ func main() {
 
 	measure := func(n *node.Node, ws units.Bytes, stride int) float64 {
 		p := access.Pattern{WorkingSet: ws, Stride: stride}
-		p.Walk(func(a access.Addr, _ bool) { n.LoadWord(a) }) // prime
+		p.Walk(func(a access.Addr, _ bool) { n.PrimeRun(a, 0, 1) }) // prime
 		n.ResetTiming()
 		p.Walk(func(a access.Addr, seg bool) {
 			if seg {

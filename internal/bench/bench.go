@@ -254,8 +254,9 @@ func TransferCurve(p *sweep.Pool, src, dst int, ws units.Bytes, strides []int, m
 }
 
 // prime walks up to primeWords of p with loads (primed-cache
-// semantics, §5). The pass is batched run by run; priming charges no
-// segment overhead, exactly like the per-word loop it replaces.
+// semantics, §5). Every caller resets timing before it measures, so
+// the pass runs tag-only: node.PrimeRun leaves the caches exactly as
+// timed loads would, without charging time or counting.
 func prime(n *node.Node, p access.Pattern) {
 	c := access.NewCursor(p)
 	for left := int64(primeWords); left > 0; {
@@ -263,7 +264,7 @@ func prime(n *node.Node, p access.Pattern) {
 		if !ok {
 			return
 		}
-		n.LoadRun(start, step, count)
+		n.PrimeRun(start, step, count)
 		left -= count
 	}
 }

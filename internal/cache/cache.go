@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/access"
@@ -106,21 +107,38 @@ func (s Stats) HitRate() float64 {
 	return float64(s.ReadHits+s.WriteHits) / float64(a)
 }
 
-type line struct {
-	tag   int64
-	valid bool
-	dirty bool
-	// lastUse orders lines within a set for LRU replacement.
-	lastUse int64
-}
+// Tag word flags. A resident line's tag word is its line address with
+// tagValid set, and tagDirty set once the line is modified; an empty
+// way is the zero word. Both flags live in address bits that line
+// alignment keeps zero, so line sizes must be at least 4 bytes.
+const (
+	tagValid int64 = 1 << 0
+	tagDirty int64 = 1 << 1
+	tagFlags       = tagValid | tagDirty
+)
 
 // Cache is one level of a memory hierarchy.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
-	numSets  int64
-	lineMask int64
-	tick     int64
+	cfg Config
+	// tags holds one packed tag word per way, set-major: set s owns
+	// tags[s*assoc : (s+1)*assoc].
+	tags []int64
+	// lastUse orders the ways of a set for LRU replacement, indexed
+	// like tags; nil when the cache is direct mapped.
+	lastUse []int64
+	assoc   int64
+	numSets int64
+	// setMask is numSets-1 when numSets is a power of two; otherwise
+	// it is -1 and setBase falls back to a modulo (a 96 KB
+	// direct-mapped cache has 3072 sets).
+	setMask   int64
+	lineShift uint
+	lineMask  int64
+	tick      int64
+	// dirtyLines counts resident dirty lines, so Dirty answers at
+	// once on a cache holding none — the common case of the 8400's
+	// snoop on every fill.
+	dirtyLines int64
 
 	ps probe.Scope
 	// counter handles into the probe registry
@@ -130,28 +148,33 @@ type Cache struct {
 	invalidations          probe.Counter
 }
 
-// New builds a cache from its configuration. It panics on geometries
-// that are not a power-of-two number of sets, which none of the
-// modelled machines use.
+// New builds a cache from its configuration. It panics on a line size
+// that is not a power of two of at least 4 bytes, which none of the
+// modelled machines use. Set counts may be any positive number.
 func New(cfg Config) *Cache {
-	assoc := cfg.assoc()
+	assoc := int64(cfg.assoc())
 	lines := int64(cfg.Size / cfg.LineSize)
-	numSets := lines / int64(assoc)
+	numSets := lines / assoc
 	if numSets == 0 {
 		numSets = 1
 	}
-	if cfg.LineSize&(cfg.LineSize-1) != 0 {
-		panic(fmt.Sprintf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineSize))
+	if cfg.LineSize < 4 || cfg.LineSize&(cfg.LineSize-1) != 0 {
+		panic(fmt.Sprintf("cache %s: line size %d not a power of two of at least 4 bytes", cfg.Name, cfg.LineSize))
 	}
 	c := &Cache{
-		cfg:      cfg,
-		numSets:  numSets,
-		lineMask: int64(cfg.LineSize) - 1,
-		sets:     make([][]line, numSets),
+		cfg:       cfg,
+		tags:      make([]int64, numSets*assoc),
+		assoc:     assoc,
+		numSets:   numSets,
+		setMask:   -1,
+		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
+		lineMask:  int64(cfg.LineSize) - 1,
 	}
-	backing := make([]line, numSets*int64(assoc))
-	for i := range c.sets {
-		c.sets[i], backing = backing[:assoc:assoc], backing[assoc:]
+	if numSets&(numSets-1) == 0 {
+		c.setMask = numSets - 1
+	}
+	if assoc > 1 {
+		c.lastUse = make([]int64, numSets*assoc)
 	}
 	c.ps = cfg.Probe
 	if !c.ps.Valid() {
@@ -193,11 +216,69 @@ func (c *Cache) LineAddr(a access.Addr) access.Addr {
 	return a &^ access.Addr(c.lineMask)
 }
 
-func (c *Cache) setIndex(lineA access.Addr) int64 {
-	idx := int64(lineA) / int64(c.cfg.LineSize)
-	// numSets may not be a power of two (e.g. 96 KB 3-way L2 of the
-	// 21164 has 1024 sets, which is); use modulo to stay general.
-	return idx % c.numSets
+// setBase returns the index in tags of the first way of the set that
+// line address lineA maps to.
+func (c *Cache) setBase(lineA int64) int64 {
+	idx := lineA >> c.lineShift
+	if c.setMask >= 0 {
+		idx &= c.setMask
+	} else {
+		idx %= c.numSets
+	}
+	return idx * c.assoc
+}
+
+// lookup returns the tags index of the way holding line address lineA
+// in the set starting at base, or -1 when the line is not resident.
+func (c *Cache) lookup(base, lineA int64) int64 {
+	want := lineA | tagValid
+	for i := base; i < base+c.assoc; i++ {
+		if c.tags[i]&^tagDirty == want {
+			return i
+		}
+	}
+	return -1
+}
+
+// find returns the tags index of the way holding the line containing
+// a, or -1.
+func (c *Cache) find(a access.Addr) int64 {
+	lineA := int64(a) &^ c.lineMask
+	return c.lookup(c.setBase(lineA), lineA)
+}
+
+// markDirty sets way i's dirty flag, keeping the dirty-line count.
+func (c *Cache) markDirty(i int64) {
+	if c.tags[i]&tagDirty == 0 {
+		c.tags[i] |= tagDirty
+		c.dirtyLines++
+	}
+}
+
+// install places line address lineA in the set starting at base —
+// the first invalid way, else the least recently used — and returns
+// the way plus the address of a dirty victim the caller owes a
+// write-back (valid when hasWB).
+func (c *Cache) install(base, lineA int64) (way int64, wb access.Addr, hasWB bool) {
+	way = base
+	if c.lastUse != nil {
+		for i := base; i < base+c.assoc; i++ {
+			if c.tags[i] == 0 {
+				way = i
+				break
+			}
+			if c.lastUse[i] < c.lastUse[way] {
+				way = i
+			}
+		}
+		c.lastUse[way] = c.tick
+	}
+	if old := c.tags[way]; old&tagDirty != 0 {
+		wb, hasWB = access.Addr(old&^tagFlags), true
+		c.dirtyLines--
+	}
+	c.tags[way] = lineA | tagValid
+	return way, wb, hasWB
 }
 
 // Result reports the outcome of an Access.
@@ -220,25 +301,24 @@ type Result struct {
 // must do.
 func (c *Cache) Access(a access.Addr, isWrite bool) Result {
 	c.tick++
-	lineA := c.LineAddr(a)
-	set := c.sets[c.setIndex(lineA)]
-	tag := int64(lineA)
+	lineA := int64(a) &^ c.lineMask
+	base := c.setBase(lineA)
 
 	// Probe.
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lastUse = c.tick
-			if isWrite {
-				c.writeHits.Inc()
-				if c.cfg.Write == WriteBack {
-					set[i].dirty = true
-					return Result{Hit: true}
-				}
-				return Result{Hit: true, WriteThrough: true}
-			}
-			c.readHits.Inc()
-			return Result{Hit: true}
+	if i := c.lookup(base, lineA); i >= 0 {
+		if c.lastUse != nil {
+			c.lastUse[i] = c.tick
 		}
+		if isWrite {
+			c.writeHits.Inc()
+			if c.cfg.Write == WriteBack {
+				c.markDirty(i)
+				return Result{Hit: true}
+			}
+			return Result{Hit: true, WriteThrough: true}
+		}
+		c.readHits.Inc()
+		return Result{Hit: true}
 	}
 
 	// Miss.
@@ -252,27 +332,14 @@ func (c *Cache) Access(a access.Addr, isWrite bool) Result {
 		c.readMisses.Inc()
 	}
 
-	// Allocate: choose invalid or LRU victim.
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lastUse < set[victim].lastUse {
-			victim = i
-		}
-	}
-	res := Result{Filled: true}
-	if set[victim].valid && set[victim].dirty {
-		res.WriteBack = access.Addr(set[victim].tag)
-		res.HasWriteBack = true
+	way, wb, hasWB := c.install(base, lineA)
+	res := Result{Filled: true, WriteBack: wb, HasWriteBack: hasWB}
+	if hasWB {
 		c.writeBacks.Inc()
 	}
-	set[victim] = line{tag: tag, valid: true, lastUse: c.tick}
 	if isWrite {
 		if c.cfg.Write == WriteBack {
-			set[victim].dirty = true
+			c.markDirty(way)
 		} else {
 			res.WriteThrough = true
 		}
@@ -280,29 +347,38 @@ func (c *Cache) Access(a access.Addr, isWrite bool) Result {
 	return res
 }
 
+// Touch performs a load at a with exactly the tag, dirty-bit, LRU and
+// clock updates of Access(a, false), but counts nothing. The priming
+// pass uses it: its counters are discarded anyway. Access keeps its
+// own copy of this path because calling Touch from it, a call the
+// compiler does not inline, doubles the cost of a hit.
+func (c *Cache) Touch(a access.Addr) Result {
+	c.tick++
+	lineA := int64(a) &^ c.lineMask
+	base := c.setBase(lineA)
+	if i := c.lookup(base, lineA); i >= 0 {
+		if c.lastUse != nil {
+			c.lastUse[i] = c.tick
+		}
+		return Result{Hit: true}
+	}
+	_, wb, hasWB := c.install(base, lineA)
+	return Result{Filled: true, WriteBack: wb, HasWriteBack: hasWB}
+}
+
 // Contains reports whether the line holding a is present (no state
 // update; used by coherence probes).
 func (c *Cache) Contains(a access.Addr) bool {
-	lineA := c.LineAddr(a)
-	set := c.sets[c.setIndex(lineA)]
-	for i := range set {
-		if set[i].valid && set[i].tag == int64(lineA) {
-			return true
-		}
-	}
-	return false
+	return c.find(a) >= 0
 }
 
 // Dirty reports whether the line holding a is present and dirty.
 func (c *Cache) Dirty(a access.Addr) bool {
-	lineA := c.LineAddr(a)
-	set := c.sets[c.setIndex(lineA)]
-	for i := range set {
-		if set[i].valid && set[i].tag == int64(lineA) {
-			return set[i].dirty
-		}
+	if c.dirtyLines == 0 {
+		return false
 	}
-	return false
+	i := c.find(a)
+	return i >= 0 && c.tags[i]&tagDirty != 0
 }
 
 // Invalidate drops the line containing a, returning whether it was
@@ -311,31 +387,40 @@ func (c *Cache) Dirty(a access.Addr) bool {
 // memory" by the remote-deposit circuitry (§3.2); the 8400's snooping
 // protocol invalidates on remote writes.
 func (c *Cache) Invalidate(a access.Addr) (present, dirty bool) {
-	lineA := c.LineAddr(a)
-	set := c.sets[c.setIndex(lineA)]
-	for i := range set {
-		if set[i].valid && set[i].tag == int64(lineA) {
-			dirty = set[i].dirty
-			set[i] = line{}
-			c.invalidations.Inc()
-			return true, dirty
-		}
+	i := c.find(a)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = c.tags[i]&tagDirty != 0
+	if dirty {
+		c.dirtyLines--
+	}
+	c.tags[i] = 0
+	if c.lastUse != nil {
+		c.lastUse[i] = 0
+	}
+	c.invalidations.Inc()
+	return true, dirty
 }
 
 // InvalidateAll flushes every line ("invalidated entirely when the
 // program reaches a synchronization point", §3.2). Dirty lines are
 // discarded; the modelled T3D L1 is write-through so no data is lost.
 func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid {
-				c.invalidations.Inc()
-			}
-			c.sets[s][i] = line{}
+	var valid int64
+	for _, t := range c.tags {
+		if t != 0 {
+			valid++
 		}
 	}
+	c.invalidations.Add(valid)
+	for i := range c.tags {
+		c.tags[i] = 0
+	}
+	for i := range c.lastUse {
+		c.lastUse[i] = 0
+	}
+	c.dirtyLines = 0
 	// Every line's lastUse is now zero, so the LRU clock may restart
 	// from zero too; leaving it warm would let tick values leak from
 	// one sweep point into the next.
@@ -350,26 +435,19 @@ func (c *Cache) ResetStats() { c.ps.Reset() }
 // whether it was found (a victim from the level above landed in this
 // level and must eventually be written back further down).
 func (c *Cache) SetDirty(a access.Addr) bool {
-	lineA := c.LineAddr(a)
-	set := c.sets[c.setIndex(lineA)]
-	for i := range set {
-		if set[i].valid && set[i].tag == int64(lineA) {
-			set[i].dirty = true
-			return true
-		}
+	i := c.find(a)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.markDirty(i)
+	return true
 }
 
 // Clean marks the line containing a clean if present (after a
 // coherence write-back supplied the data to another processor).
 func (c *Cache) Clean(a access.Addr) {
-	lineA := c.LineAddr(a)
-	set := c.sets[c.setIndex(lineA)]
-	for i := range set {
-		if set[i].valid && set[i].tag == int64(lineA) {
-			set[i].dirty = false
-			return
-		}
+	if i := c.find(a); i >= 0 && c.tags[i]&tagDirty != 0 {
+		c.tags[i] &^= tagDirty
+		c.dirtyLines--
 	}
 }

@@ -107,6 +107,17 @@ func (c *Controller) Fill(nodeID int, line access.Addr, lineBytes units.Bytes, n
 	return busDone
 }
 
+// Intervenes implements node.MemBackend: whether another node holds
+// line dirty, so that a Fill would pull it over and leave it clean.
+func (c *Controller) Intervenes(nodeID int, line access.Addr) bool {
+	for _, other := range c.nodes {
+		if other.ID != nodeID && other.HoldsDirty(line) {
+			return true
+		}
+	}
+	return false
+}
+
 // Write implements node.MemBackend: absorb a write of nb bytes at a
 // (write-buffer drains and victim write-backs cross the bus into the
 // shared DRAM).

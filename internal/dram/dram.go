@@ -10,6 +10,8 @@
 package dram
 
 import (
+	"math/bits"
+
 	"repro/internal/access"
 	"repro/internal/probe"
 	"repro/internal/sim"
@@ -62,6 +64,13 @@ type bank struct {
 type DRAM struct {
 	cfg   Config
 	banks []bank
+	// shifts selects the division-free bankAndRow, valid when the
+	// interleave, bank count and row size are all powers of two (all
+	// three modelled machines): chunk, bank and row indices are then
+	// shifts and a mask.
+	shifts                        bool
+	ilvShift, bankShift, rowShift uint
+	bankMask                      int64
 
 	ps probe.Scope
 	// counter handles into the probe registry
@@ -84,6 +93,14 @@ func New(cfg Config) *DRAM {
 		cfg.RowBytes = 2 * units.KB
 	}
 	d := &DRAM{cfg: cfg, banks: make([]bank, cfg.Banks)}
+	ilv, ilvOK := log2(int64(cfg.InterleaveBytes))
+	nb, nbOK := log2(int64(cfg.Banks))
+	row, rowOK := log2(int64(cfg.RowBytes))
+	if ilvOK && nbOK && rowOK {
+		d.shifts = true
+		d.ilvShift, d.bankShift, d.rowShift = ilv, nb, row
+		d.bankMask = int64(cfg.Banks) - 1
+	}
 	d.ps = cfg.Probe
 	if !d.ps.Valid() {
 		name := cfg.Name
@@ -121,11 +138,21 @@ func (d *DRAM) Scope() probe.Scope { return d.ps }
 // consecutive InterleaveBytes chunks rotate across banks; within a
 // bank, rows cover RowBytes of that bank's address space.
 func (d *DRAM) bankAndRow(a access.Addr) (bankIdx int, row int64) {
+	if d.shifts {
+		chunk := int64(a) >> d.ilvShift
+		return int(chunk & d.bankMask), chunk >> d.bankShift << d.ilvShift >> d.rowShift
+	}
 	chunk := int64(a) / int64(d.cfg.InterleaveBytes)
 	bankIdx = int(chunk % int64(d.cfg.Banks))
 	withinBank := chunk / int64(d.cfg.Banks) * int64(d.cfg.InterleaveBytes)
 	row = withinBank / int64(d.cfg.RowBytes)
 	return bankIdx, row
+}
+
+// log2 returns the base-2 logarithm of x and whether x is a power of
+// two.
+func log2(x int64) (uint, bool) {
+	return uint(bits.TrailingZeros64(uint64(x))), x > 0 && x&(x-1) == 0
 }
 
 // Access performs a read or write of n bytes at address a, issued at

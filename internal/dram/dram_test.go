@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -144,4 +145,41 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Errorf("zero config should be normalized: %+v", d.Config())
 	}
 	d.Access(0, 8, 0) // must not panic
+}
+
+// TestBankAndRowMatchesDivision checks the shift-and-mask mapping New
+// selects for power-of-two geometries against the plain division
+// form, over random addresses, and checks that a geometry outside
+// that class (3 banks, 48-byte interleave) keeps the division form.
+func TestBankAndRowMatchesDivision(t *testing.T) {
+	geoms := []struct {
+		banks      int
+		ilv, row   units.Bytes
+		wantShifts bool
+	}{
+		{4, 64, 2 * units.KB, true},
+		{8, 32, 2 * units.KB, true},
+		{16, 64, 8 * units.KB, true},
+		{2, 4 * units.KB, 2 * units.KB, true}, // interleave wider than a row
+		{1, 64, 4 * units.KB, true},
+		{3, 48, 2 * units.KB, false},
+		{4, 64, 3 * units.KB, false},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, g := range geoms {
+		d := New(Config{Banks: g.banks, InterleaveBytes: g.ilv, RowBytes: g.row})
+		if d.shifts != g.wantShifts {
+			t.Errorf("%+v: shift form selected = %v, want %v", g, d.shifts, g.wantShifts)
+		}
+		for i := 0; i < 100000; i++ {
+			a := access.Addr(rng.Int63n(1 << 40))
+			chunk := int64(a) / int64(g.ilv)
+			wantBank := int(chunk % int64(g.banks))
+			wantRow := chunk / int64(g.banks) * int64(g.ilv) / int64(g.row)
+			if bank, row := d.bankAndRow(a); bank != wantBank || row != wantRow {
+				t.Fatalf("%+v: address %#x maps to bank %d row %d, want bank %d row %d",
+					g, a, bank, row, wantBank, wantRow)
+			}
+		}
+	}
 }

@@ -91,14 +91,15 @@ func (m *MPP) depositCPU(src, dst int, cp access.CopyPattern) units.Time {
 	producer := m.nodes[src]
 
 	// Prime the producer's cache on the source region so small
-	// working sets are served from L1 as in the paper's setup.
+	// working sets are served from L1 as in the paper's setup. The
+	// pass is tag-only: its timing would be reset right after.
 	pc := access.NewCursor(access.Pattern{Base: cp.SrcBase, WorkingSet: cp.WorkingSet, Stride: cp.LoadStride})
 	for {
 		start, step, count, _, ok := pc.Run(1 << 62)
 		if !ok {
 			break
 		}
-		producer.LoadRun(start, step, count)
+		producer.PrimeRun(start, step, count)
 	}
 	m.ResetTiming()
 

@@ -103,6 +103,11 @@ type MemBackend interface {
 	// Write absorbs nb bytes at address a (write-buffer drains and
 	// victim write-backs) and returns the completion time.
 	Write(nodeID int, a access.Addr, nb units.Bytes, now units.Time) units.Time
+	// Intervenes reports, without side effects, whether a Fill of
+	// line by nodeID would change another node's cache state (a
+	// dirty holder supplying the line). The tag-only priming pass
+	// sends only those fills through Fill.
+	Intervenes(nodeID int, line access.Addr) bool
 }
 
 // WriteBufferSpec configures the store retire path.

@@ -160,30 +160,27 @@ func (h *timeHeap) push(t units.Time) {
 	*h = s
 }
 
-func (h *timeHeap) popMin() units.Time {
-	s := *h
-	min := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
+// replaceMin retires the minimum and inserts t in one sift: the root
+// is overwritten and sifted down, which leaves the same multiset as a
+// pop followed by a push.
+func (h timeHeap) replaceMin(t units.Time) {
+	h[0] = t
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < len(s) && s[l] < s[small] {
+		if l < len(h) && h[l] < h[small] {
 			small = l
 		}
-		if r < len(s) && s[r] < s[small] {
+		if r < len(h) && h[r] < h[small] {
 			small = r
 		}
 		if small == i {
-			break
+			return
 		}
-		s[i], s[small] = s[small], s[i]
+		h[i], h[small] = h[small], h[i]
 		i = small
 	}
-	*h = s
-	return min
 }
 
 // EReg moves the words of cp between local and rem through the
@@ -209,10 +206,11 @@ func EReg(net *torus.Network, local, rem *node.Node, cp access.CopyPattern, dir 
 	outstanding := make(timeHeap, 0, cfg.Registers)
 	var now, last units.Time
 	issue := func(la, sa access.Addr) {
-		if len(outstanding) == cfg.Registers {
-			if min := outstanding.popMin(); min > now {
-				now = min
-			}
+		// With every register busy, the issue waits for the earliest
+		// transfer, whose register the new one then takes over.
+		full := len(outstanding) == cfg.Registers
+		if full && outstanding[0] > now {
+			now = outstanding[0]
 		}
 		readDone := srcNode.EngineRead(la, chunk, now+cfg.IssueSlot)
 		arrive := net.Send(srcNode.ID, dstNode.ID, chunk, readDone)
@@ -221,7 +219,11 @@ func EReg(net *torus.Network, local, rem *node.Node, cp access.CopyPattern, dir 
 		if t := cfg.Probe.Tracer(); t != nil {
 			t.SpanArg("ereg.op", "net", cfg.Probe.TID(), now, done, "bytes", int64(chunk))
 		}
-		outstanding.push(done)
+		if full {
+			outstanding.replaceMin(done)
+		} else {
+			outstanding.push(done)
+		}
 		if done > last {
 			last = done
 		}

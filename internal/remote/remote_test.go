@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/access"
@@ -115,5 +116,66 @@ func TestDepositRouterLocalVsRemote(t *testing.T) {
 	}
 	if nodes[2].Stats().EngineWrites != 1 {
 		t.Errorf("destination engine should absorb the deposit")
+	}
+}
+
+// popMin is the two-step retire replaceMin replaces, kept as the
+// reference: remove the root, move the last element up, sift it down.
+func (h *timeHeap) popMin() units.Time {
+	s := *h
+	min := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < len(s) && s[l] < s[small] {
+			small = l
+		}
+		if r < len(s) && s[r] < s[small] {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		s[i], s[small] = s[small], s[i]
+		i = small
+	}
+	*h = s
+	return min
+}
+
+// TestReplaceMinMatchesPopPush drives two heaps with the same random
+// completion times, one retiring with popMin+push and one with
+// replaceMin, and checks that every retired minimum agrees — the only
+// value EReg consumes.
+func TestReplaceMinMatchesPopPush(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, regs := range []int{1, 2, 3, 8, 512} {
+		a := make(timeHeap, 0, regs)
+		b := make(timeHeap, 0, regs)
+		for i := 0; i < 20000; i++ {
+			// Coarse values force ties, which the heaps must agree on.
+			v := units.Time(rng.Intn(4096)) / 4
+			if len(a) < regs {
+				a.push(v)
+				b.push(v)
+				continue
+			}
+			ma := a.popMin()
+			a.push(v)
+			mb := b[0]
+			b.replaceMin(v)
+			if ma != mb {
+				t.Fatalf("registers=%d step %d: pop+push retired %v, replaceMin %v", regs, i, ma, mb)
+			}
+		}
+		for len(a) > 0 {
+			if ma, mb := a.popMin(), b.popMin(); ma != mb {
+				t.Fatalf("registers=%d drain: %v vs %v", regs, ma, mb)
+			}
+		}
 	}
 }

@@ -111,7 +111,10 @@ diff -r "$TMP/par" "$TMP/traced"
 diff -r "$TMP/storecold" "$TMP/storewarm"
 cmp "$TMP/storecold.stdout" "$TMP/storewarm.stdout"
 diff -r "$TMP/seq" "$TMP/storecold"
-echo "   artifacts byte-identical across worker counts, tracing, and store modes"
+# The committed artifacts too: a host-side optimisation must leave
+# every figure byte-identical to out/ (simlint.sarif is check.sh's).
+diff -r -x simlint.sarif "$TMP/seq" out
+echo "   artifacts byte-identical across worker counts, tracing, and store modes, and to out/"
 
 echo "== simlint ./... (uncached) =="
 start=$(date +%s.%N)
