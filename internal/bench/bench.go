@@ -256,7 +256,7 @@ func TransferCurve(p *sweep.Pool, src, dst int, ws units.Bytes, strides []int, m
 // prime walks up to primeWords of p with loads (primed-cache
 // semantics, §5). Every caller resets timing before it measures, so
 // the pass runs tag-only: node.PrimeRun leaves the caches exactly as
-// timed loads would, without charging time or counting.
+// timed loads would, without charging time.
 func prime(n *node.Node, p access.Pattern) {
 	c := access.NewCursor(p)
 	for left := int64(primeWords); left > 0; {

@@ -347,25 +347,6 @@ func (c *Cache) Access(a access.Addr, isWrite bool) Result {
 	return res
 }
 
-// Touch performs a load at a with exactly the tag, dirty-bit, LRU and
-// clock updates of Access(a, false), but counts nothing. The priming
-// pass uses it: its counters are discarded anyway. Access keeps its
-// own copy of this path because calling Touch from it, a call the
-// compiler does not inline, doubles the cost of a hit.
-func (c *Cache) Touch(a access.Addr) Result {
-	c.tick++
-	lineA := int64(a) &^ c.lineMask
-	base := c.setBase(lineA)
-	if i := c.lookup(base, lineA); i >= 0 {
-		if c.lastUse != nil {
-			c.lastUse[i] = c.tick
-		}
-		return Result{Hit: true}
-	}
-	_, wb, hasWB := c.install(base, lineA)
-	return Result{Filled: true, WriteBack: wb, HasWriteBack: hasWB}
-}
-
 // Contains reports whether the line holding a is present (no state
 // update; used by coherence probes).
 func (c *Cache) Contains(a access.Addr) bool {

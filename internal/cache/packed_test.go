@@ -18,11 +18,10 @@ type oracleLine struct {
 }
 
 type oracleCache struct {
-	cfg     Config
-	sets    [][]oracleLine
-	tick    int64
-	stats   Stats
-	counted bool
+	cfg   Config
+	sets  [][]oracleLine
+	tick  int64
+	stats Stats
 }
 
 func newOracle(cfg Config) *oracleCache {
@@ -43,12 +42,6 @@ func (o *oracleCache) set(a access.Addr) ([]oracleLine, int64) {
 	return o.sets[tag/int64(o.cfg.LineSize)%int64(len(o.sets))], tag
 }
 
-func (o *oracleCache) count(p *int64) {
-	if o.counted {
-		*p++
-	}
-}
-
 func (o *oracleCache) access(a access.Addr, isWrite bool) Result {
 	o.tick++
 	set, tag := o.set(a)
@@ -56,24 +49,24 @@ func (o *oracleCache) access(a access.Addr, isWrite bool) Result {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lastUse = o.tick
 			if isWrite {
-				o.count(&o.stats.WriteHits)
+				o.stats.WriteHits++
 				if o.cfg.Write == WriteBack {
 					set[i].dirty = true
 					return Result{Hit: true}
 				}
 				return Result{Hit: true, WriteThrough: true}
 			}
-			o.count(&o.stats.ReadHits)
+			o.stats.ReadHits++
 			return Result{Hit: true}
 		}
 	}
 	if isWrite {
-		o.count(&o.stats.WriteMisses)
+		o.stats.WriteMisses++
 		if o.cfg.Alloc == ReadAllocate {
 			return Result{WriteThrough: true}
 		}
 	} else {
-		o.count(&o.stats.ReadMisses)
+		o.stats.ReadMisses++
 	}
 	victim := 0
 	for i := range set {
@@ -89,7 +82,7 @@ func (o *oracleCache) access(a access.Addr, isWrite bool) Result {
 	if set[victim].valid && set[victim].dirty {
 		res.WriteBack = access.Addr(set[victim].tag)
 		res.HasWriteBack = true
-		o.count(&o.stats.WriteBacks)
+		o.stats.WriteBacks++
 	}
 	set[victim] = oracleLine{tag: tag, valid: true, lastUse: o.tick}
 	if isWrite {
@@ -173,20 +166,14 @@ func TestPackedMatchesOracle(t *testing.T) {
 			}
 			for op := 0; op < 60000; op++ {
 				a := addr()
-				o.counted = true
 				switch k := rng.Intn(100); {
-				case k < 45:
+				case k < 55:
 					if got, want := c.Access(a, false), o.access(a, false); got != want {
 						t.Fatalf("op %d load %#x: %+v, want %+v", op, a, got, want)
 					}
-				case k < 75:
+				case k < 85:
 					if got, want := c.Access(a, true), o.access(a, true); got != want {
 						t.Fatalf("op %d store %#x: %+v, want %+v", op, a, got, want)
-					}
-				case k < 85:
-					o.counted = false
-					if got, want := c.Touch(a), o.access(a, false); got != want {
-						t.Fatalf("op %d touch %#x: %+v, want %+v", op, a, got, want)
 					}
 				case k < 90:
 					l := o.line(a)

@@ -78,21 +78,16 @@ func (c *Controller) Bus() *bus.Bus { return c.bus }
 // to the requesting node.
 func (c *Controller) Fill(nodeID int, line access.Addr, lineBytes units.Bytes, now units.Time) units.Time {
 	// Snoop: a dirty holder intervenes.
-	for _, other := range c.nodes {
-		if other.ID == nodeID {
-			continue
+	if other := c.dirtyHolder(nodeID, line); other != nil {
+		_, done := c.bus.Transaction(bus.CacheToCache, now)
+		// The supplier's copy stays resident but is now clean (it
+		// answered the read with its data).
+		other.CleanLine(line)
+		c.pulls.Inc()
+		if t := c.ps.Tracer(); t != nil {
+			t.InstantArg("coh.c2c", "bus", c.ps.TID(), now, "supplier", int64(other.ID))
 		}
-		if other.HoldsDirty(line) {
-			_, done := c.bus.Transaction(bus.CacheToCache, now)
-			// The supplier's copy stays resident but is now clean
-			// (it answered the read with its data).
-			other.CleanLine(line)
-			c.pulls.Inc()
-			if t := c.ps.Tracer(); t != nil {
-				t.InstantArg("coh.c2c", "bus", c.ps.TID(), now, "supplier", int64(other.ID))
-			}
-			return done
-		}
+		return done
 	}
 	// Shared DRAM supplies the line. The address and snoop phases
 	// occupy the bus; the memory read proceeds in parallel on the
@@ -110,12 +105,18 @@ func (c *Controller) Fill(nodeID int, line access.Addr, lineBytes units.Bytes, n
 // Intervenes implements node.MemBackend: whether another node holds
 // line dirty, so that a Fill would pull it over and leave it clean.
 func (c *Controller) Intervenes(nodeID int, line access.Addr) bool {
+	return c.dirtyHolder(nodeID, line) != nil
+}
+
+// dirtyHolder returns the first node other than nodeID whose cache
+// holds line dirty — the snoop's supplier — or nil.
+func (c *Controller) dirtyHolder(nodeID int, line access.Addr) *node.Node {
 	for _, other := range c.nodes {
 		if other.ID != nodeID && other.HoldsDirty(line) {
-			return true
+			return other
 		}
 	}
-	return false
+	return nil
 }
 
 // Write implements node.MemBackend: absorb a write of nb bytes at a

@@ -29,10 +29,10 @@ func (n *Node) LoadReady(a access.Addr, now units.Time) units.Time {
 
 // PrimeRun leaves the machine's functional state — cache tags, dirty
 // bits, LRU order and each cache's clock — exactly as LoadRun(start,
-// step, count) would, but charges no time and counts nothing. It is
-// the benchmarks' priming pass, whose timing ResetTiming discards
-// anyway (§5: "start with a primed cache for exactly that working
-// set"). The rare accesses with effects beyond this node's tags — a
+// step, count) would, but charges no time. It is the benchmarks'
+// priming pass (§5: "start with a primed cache for exactly that
+// working set"); every caller runs ResetTiming right after it, which
+// discards the pass's timing and the counters it bumps. The rare accesses with effects beyond this node's tags — a
 // dirty victim, a remote address, a fill that another node's dirty
 // copy supplies — take the timed path, so the result is exact from
 // any starting state, not only after a ColdReset.
@@ -52,7 +52,7 @@ func (n *Node) primeLoad(a access.Addr) {
 		return
 	}
 	for j, c := range n.caches {
-		r := c.Touch(a)
+		r := c.Access(a, false)
 		if r.HasWriteBack {
 			n.writeVictim(j, r.WriteBack, n.clock.Now())
 		}
@@ -137,7 +137,7 @@ func (n *Node) chargeFill(j int, a access.Addr, now units.Time) units.Time {
 	if j == 0 {
 		return now
 	}
-	spec := &n.cfg.Levels[j]
+	spec := n.cfg.Levels[j]
 	line := n.caches[j].LineAddr(a)
 	lineBytes := access.Addr(spec.Cache.LineSize)
 

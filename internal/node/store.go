@@ -91,7 +91,7 @@ func (n *Node) storeSlackStall(now, ready units.Time) units.Time {
 // level dirty so the data eventually reaches memory.
 func (n *Node) writeVictim(k int, lineAddr access.Addr, now units.Time) {
 	if k+1 < len(n.caches) {
-		spec := &n.cfg.Levels[k+1]
+		spec := n.cfg.Levels[k+1]
 		// The victim write occupies the fill path but nothing waits
 		// on it; the start time is deliberately dropped.
 		_ = n.fills[k+1].Acquire(now, spec.WriteOcc)
