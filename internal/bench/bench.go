@@ -269,7 +269,9 @@ func prime(n *node.Node, p access.Pattern) {
 	}
 }
 
-// primeStore walks up to primeWords of p with stores.
+// primeStore walks up to primeWords of p with stores and drains the
+// write buffer. Like prime, it runs tag-only: node.PrimeStoreRun
+// leaves the caches exactly as timed stores would.
 func primeStore(n *node.Node, p access.Pattern) {
 	c := access.NewCursor(p)
 	for left := int64(primeWords); left > 0; {
@@ -277,7 +279,7 @@ func primeStore(n *node.Node, p access.Pattern) {
 		if !ok {
 			break
 		}
-		n.StoreRun(start, step, count)
+		n.PrimeStoreRun(start, step, count)
 		left -= count
 	}
 	n.FlushWrites()

@@ -171,3 +171,135 @@ func TestPrimeRunKeepsFreeRideState(t *testing.T) {
 		t.Fatalf("copy bandwidth %v after tag-only prime, %v after timed", bw1, bw2)
 	}
 }
+
+// TestPrimeStoreRunMatchesStoreRun pins the tag-only store prime to
+// the timed StoreRun on all three machines. Each run starts from a
+// cold machine and from a dirty multi-node one, and covers steps of
+// 0, 1 and 3 words (the same-line fold), a step with no same-line
+// repeats, unaligned and line-crossing starts, a run long enough to
+// push dirty victims out of the 8400's L3, and a run into another
+// node's memory. Afterwards every node must hold the same lines in
+// the same dirty state, node 0's caches and store-run detector must
+// match word for word, and a timed store-and-load pass must report
+// bit-identical time and counters.
+func TestPrimeStoreRunMatchesStoreRun(t *testing.T) {
+	machines := []struct {
+		name string
+		mk   func() machine.Machine
+	}{
+		{"8400", func() machine.Machine { return machine.NewDEC8400(4) }},
+		{"t3d", func() machine.Machine { return machine.NewT3D(4) }},
+		{"t3e", func() machine.Machine { return machine.NewT3E(4) }},
+	}
+	base := machine.LocalBase(0) + 1<<20
+	// alias sits one 8400 L3 (and a whole number of L2 set spans)
+	// above base, so stores there conflict with the prime's lines.
+	alias := base + access.Addr(4*units.MB)
+	type run struct {
+		start       access.Addr
+		step, count int64
+	}
+	runs := []run{
+		{base, 8, 4096},
+		{base + 8, 0, 64},
+		{base + 8, 24, 3000},
+		{base + 56, 24, 3000},
+		{base + 40, 8, 40000},
+		{base, 128, 4096},
+		{base + 8, 8, 600000},
+		{machine.LocalBase(1) + 16, 8, 2048},
+		{machine.LocalBase(1) + 32, 24, 2048},
+	}
+	// dirty leaves node 0 with dirty lines that the run's stores
+	// evict, node 1 holding some of the run's lines clean and others
+	// dirty, and node 1 holding the alias lines clean while node 0
+	// holds them dirty.
+	dirty := func(m machine.Machine, r run) {
+		n0, n1 := m.Node(0), m.Node(1)
+		start := r.start &^ 63
+		n1.PrimeRun(alias, 8, 8192)
+		n0.StoreRun(alias, 8, 8192)
+		n0.PrimeRun(start+access.Addr(4*units.KB), 8, 1024)
+		n1.PrimeRun(start, 16, 512)
+		n1.StoreRun(start+access.Addr(8*units.KB), 8, 2048)
+		n1.StoreRun(start+64, 32, 64)
+		n0.FlushWrites()
+		n1.FlushWrites()
+	}
+	for _, mc := range machines {
+		for ri, r := range runs {
+			for _, warm := range []bool{false, true} {
+				name := fmt.Sprintf("%s/r%d/warm=%v", mc.name, ri, warm)
+				t.Run(name, func(t *testing.T) {
+					tagOnly, timed := mc.mk(), mc.mk()
+					for _, m := range []machine.Machine{tagOnly, timed} {
+						m.ColdReset()
+						if warm {
+							dirty(m, r)
+						}
+					}
+					tagOnly.Node(0).PrimeStoreRun(r.start, r.step, r.count)
+					tagOnly.Node(0).FlushWrites()
+					timed.Node(0).StoreRun(r.start, r.step, r.count)
+					timed.Node(0).FlushWrites()
+
+					span := units.Bytes(r.step*(r.count-1)) + 128
+					for _, p := range []access.Pattern{
+						{Base: r.start &^ 63, WorkingSet: span},
+						{Base: alias, WorkingSet: 64 * units.KB},
+					} {
+						comparePrimed(t, tagOnly, timed, p)
+					}
+					compareNodeState(t, tagOnly.Node(0), timed.Node(0))
+
+					for _, m := range []machine.Machine{tagOnly, timed} {
+						m.ResetTiming()
+						n := m.Node(0)
+						n.StoreRun(r.start, r.step, min(r.count, measureWords))
+						n.FlushWrites()
+						n.LoadRun(r.start, r.step, min(r.count, measureWords))
+					}
+					if t1, t2 := tagOnly.Node(0).Now(), timed.Node(0).Now(); t1 != t2 {
+						t.Fatalf("measured pass took %v after the tag-only prime, %v after the timed one", t1, t2)
+					}
+					c1, c2 := tagOnly.Probe().Capture().Counters, timed.Probe().Capture().Counters
+					if !reflect.DeepEqual(c1, c2) {
+						t.Fatalf("measured counters differ:\ntag-only:\n%s\ntimed:\n%s",
+							c1.NonZero().Table(), c2.NonZero().Table())
+					}
+				})
+			}
+		}
+	}
+}
+
+// compareNodeState checks, field by field, the node state a prime
+// must reproduce: every cache's tag words, LRU stamps, LRU clock and
+// dirty-line count, and the write-combine store-run detector. The
+// fields are unexported, so they are read through reflection.
+func compareNodeState(t *testing.T, a, b *node.Node) {
+	t.Helper()
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for _, f := range []string{"storeRunNext", "storeRunLen"} {
+		if x, y := va.FieldByName(f).Int(), vb.FieldByName(f).Int(); x != y {
+			t.Fatalf("%s: %d after tag-only prime, %d after timed", f, x, y)
+		}
+	}
+	ca, cb := va.FieldByName("caches"), vb.FieldByName("caches")
+	for l := 0; l < ca.Len(); l++ {
+		la, lb := ca.Index(l).Elem(), cb.Index(l).Elem()
+		for _, f := range []string{"tick", "dirtyLines"} {
+			if x, y := la.FieldByName(f).Int(), lb.FieldByName(f).Int(); x != y {
+				t.Fatalf("level %d %s: %d after tag-only prime, %d after timed", l, f, x, y)
+			}
+		}
+		for _, f := range []string{"tags", "lastUse"} {
+			sa, sb := la.FieldByName(f), lb.FieldByName(f)
+			for i := 0; i < sa.Len(); i++ {
+				if x, y := sa.Index(i).Int(), sb.Index(i).Int(); x != y {
+					t.Fatalf("level %d %s[%d]: %#x after tag-only prime, %#x after timed", l, f, i, x, y)
+				}
+			}
+		}
+	}
+}

@@ -139,6 +139,10 @@ type Cache struct {
 	// once on a cache holding none — the common case of the 8400's
 	// snoop on every fill.
 	dirtyLines int64
+	// resident counts valid lines, so InvalidateAll counts its
+	// invalidations without reading the tags and skips clearing a
+	// cache that holds nothing.
+	resident int64
 
 	ps probe.Scope
 	// counter handles into the probe registry
@@ -273,7 +277,9 @@ func (c *Cache) install(base, lineA int64) (way int64, wb access.Addr, hasWB boo
 		}
 		c.lastUse[way] = c.tick
 	}
-	if old := c.tags[way]; old&tagDirty != 0 {
+	if old := c.tags[way]; old == 0 {
+		c.resident++
+	} else if old&tagDirty != 0 {
 		wb, hasWB = access.Addr(old&^tagFlags), true
 		c.dirtyLines--
 	}
@@ -347,6 +353,26 @@ func (c *Cache) Access(a access.Addr, isWrite bool) Result {
 	return res
 }
 
+// RepeatStore is k more Access(a, true) calls for a store that leaves
+// the tags as they are: a hit on a write-through line or on a line
+// already dirty, or a miss in a cache that does not allocate on
+// stores. The caller must know it is one of these, as it does for the
+// same-line stores that follow a store which did the same. The
+// cache's clock, the line's LRU stamp and the counters end as the k
+// calls would leave them.
+func (c *Cache) RepeatStore(a access.Addr, k int64) {
+	c.tick += k
+	i := c.find(a)
+	if i < 0 {
+		c.writeMisses.Add(k)
+		return
+	}
+	if c.lastUse != nil {
+		c.lastUse[i] = c.tick
+	}
+	c.writeHits.Add(k)
+}
+
 // Contains reports whether the line holding a is present (no state
 // update; used by coherence probes).
 func (c *Cache) Contains(a access.Addr) bool {
@@ -377,6 +403,7 @@ func (c *Cache) Invalidate(a access.Addr) (present, dirty bool) {
 		c.dirtyLines--
 	}
 	c.tags[i] = 0
+	c.resident--
 	if c.lastUse != nil {
 		c.lastUse[i] = 0
 	}
@@ -388,19 +415,18 @@ func (c *Cache) Invalidate(a access.Addr) (present, dirty bool) {
 // program reaches a synchronization point", §3.2). Dirty lines are
 // discarded; the modelled T3D L1 is write-through so no data is lost.
 func (c *Cache) InvalidateAll() {
-	var valid int64
-	for _, t := range c.tags {
-		if t != 0 {
-			valid++
+	c.invalidations.Add(c.resident)
+	// With no line resident every tag and LRU stamp is already zero
+	// (Invalidate zeroes both), so there is nothing to clear.
+	if c.resident > 0 {
+		for i := range c.tags {
+			c.tags[i] = 0
+		}
+		for i := range c.lastUse {
+			c.lastUse[i] = 0
 		}
 	}
-	c.invalidations.Add(valid)
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-	for i := range c.lastUse {
-		c.lastUse[i] = 0
-	}
+	c.resident = 0
 	c.dirtyLines = 0
 	// Every line's lastUse is now zero, so the LRU clock may restart
 	// from zero too; leaving it warm would let tick values leak from

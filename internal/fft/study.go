@@ -248,10 +248,10 @@ func transposePullConcurrent(m *machine.SMP, tile access.TransposeTraffic, tileB
 	p := m.NumNodes()
 	m.ColdReset()
 	// Each producer's partition was just written by the FFT phase:
-	// establish the dirty state (untimed prep).
+	// establish the dirty state (a tag-only store prime).
 	for r := 0; r < p; r++ {
 		prod := access.Pattern{Base: machine.LocalBase(r), WorkingSet: tileBytes * units.Bytes(p-1), Stride: 1}
-		prod.Walk(func(a access.Addr, _ bool) { m.Node(r).StoreWord(a) })
+		prod.Walk(func(a access.Addr, _ bool) { m.Node(r).PrimeStoreRun(a, 0, 1) })
 		m.Node(r).FlushWrites()
 	}
 	m.ResetTiming()

@@ -196,17 +196,19 @@ func (m *SMP) ColdReset() {
 	m.probe.Reset()
 }
 
-// storeRuns drives nd's store loop over the cursor's remaining
-// accesses in batched runs. No segment overhead is charged, matching
-// the priming and producer walks it serves.
-func storeRuns(nd *node.Node, c *access.Cursor) {
+// primeStores walks nd's store loop over the cursor's remaining
+// accesses tag-only, then drains the write buffer. It serves the
+// landing-buffer prime and the producer's walk, whose timing the
+// ResetTiming before the pull discards.
+func primeStores(nd *node.Node, c *access.Cursor) {
 	for {
 		start, step, count, _, ok := c.Run(1 << 62)
 		if !ok {
-			return
+			break
 		}
-		nd.StoreRun(start, step, count)
+		nd.PrimeStoreRun(start, step, count)
 	}
+	nd.FlushWrites()
 }
 
 // consumeBuf is the size of the consumer's cache-resident landing
@@ -253,8 +255,7 @@ func (m *SMP) Transfer(src, dst int, cp access.CopyPattern, opt Options) (units.
 		dstWS = consumeBuf
 	}
 	primeDst := access.NewCursor(access.Pattern{Base: cp.DstBase, WorkingSet: dstWS, Stride: 1})
-	storeRuns(consumer, primeDst)
-	consumer.FlushWrites()
+	primeStores(consumer, primeDst)
 
 	var total units.Time
 	for off := units.Bytes(0); off < cp.WorkingSet; off += chunk {
@@ -265,8 +266,7 @@ func (m *SMP) Transfer(src, dst int, cp access.CopyPattern, opt Options) (units.
 		// The producer generates this chunk (contiguous stores).
 		prod := access.NewCursor(access.Pattern{
 			Base: cp.SrcBase + access.Addr(off), WorkingSet: n, Stride: 1})
-		storeRuns(producer, prod)
-		producer.FlushWrites()
+		primeStores(producer, prod)
 
 		// Synchronization point, then the consumer pulls; only the
 		// consumer's time is the transfer time (§5.2: "we measure

@@ -32,10 +32,11 @@ func (n *Node) LoadReady(a access.Addr, now units.Time) units.Time {
 // step, count) would, but charges no time. It is the benchmarks'
 // priming pass (§5: "start with a primed cache for exactly that
 // working set"); every caller runs ResetTiming right after it, which
-// discards the pass's timing and the counters it bumps. The rare accesses with effects beyond this node's tags — a
-// dirty victim, a remote address, a fill that another node's dirty
-// copy supplies — take the timed path, so the result is exact from
-// any starting state, not only after a ColdReset.
+// discards the pass's timing and the counters it bumps. The rare
+// accesses with effects beyond this node's tags — a dirty victim, a
+// remote address, a fill that another node's dirty copy supplies —
+// take the timed path, so the result is exact from any starting
+// state, not only after a ColdReset.
 func (n *Node) PrimeRun(start access.Addr, step, count int64) {
 	a := start
 	for i := int64(0); i < count; i++ {
@@ -51,8 +52,15 @@ func (n *Node) primeLoad(a access.Addr) {
 		_ = n.resolveLoad(a, n.clock.Now())
 		return
 	}
-	for j, c := range n.caches {
-		r := c.Access(a, false)
+	n.primeFill(0, a)
+}
+
+// primeFill walks a fill of the line containing a through cache
+// levels k.. and DRAM in the order of fillFrom and dramFill, without
+// their timing.
+func (n *Node) primeFill(k int, a access.Addr) {
+	for j := k; j < len(n.caches); j++ {
+		r := n.caches[j].Access(a, false)
 		if r.HasWriteBack {
 			n.writeVictim(j, r.WriteBack, n.clock.Now())
 		}

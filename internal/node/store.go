@@ -35,15 +35,128 @@ func (n *Node) CopyWord(src, dst access.Addr) {
 	n.clock.Advance(slot + loadStall + storeStall)
 }
 
-// resolveStore propagates a store down the hierarchy and returns the
-// stall charged to the processor.
-func (n *Node) resolveStore(a access.Addr, now units.Time) units.Time {
+// PrimeStoreRun leaves the machine's functional state — cache tags,
+// dirty bits, LRU order, each cache's clock, the write-combine run
+// state and the write buffer's open entry — exactly as StoreRun(start,
+// step, count) would, but charges no time. It is the store half of
+// the PrimeRun contract: every caller flushes the write buffer and
+// runs ResetTiming before it measures. The cases with effects beyond
+// this node's tags take the timed path: a dirty victim, a
+// write-allocate fill that another node's dirty copy supplies, and a
+// write-buffer drain that leaves through the coherence backend or the
+// remote router (a remote address). Drains into the node's private
+// DRAM change only timing state and are skipped.
+//
+// Once a store retires into a write-back hit without allocating, every
+// later store of the run to the same line repeats it exactly, at the
+// same levels and with the same outcome, so those stores are folded
+// into one RepeatStore per level.
+func (n *Node) PrimeStoreRun(start access.Addr, step, count int64) {
+	var line int64
+	for _, l := range n.cfg.Levels {
+		if sz := int64(l.Cache.LineSize); line == 0 || sz < line {
+			line = sz
+		}
+	}
+	a := start
+	for i := int64(0); i < count; {
+		k := n.primeStore(a)
+		i++
+		if k >= 0 {
+			rest := count - i
+			if step != 0 {
+				// Further stores of the run inside a's line.
+				var inLine int64
+				if step > 0 && step < line {
+					inLine = (line - 1 - int64(a)&(line-1)) / step
+				}
+				rest = min(rest, inLine)
+			}
+			if rest > 0 {
+				a += access.Addr(rest * step)
+				n.repeatStore(k, a, step, rest)
+				i += rest
+			}
+		}
+		a += access.Addr(step)
+	}
+}
+
+// primeStore walks one store through the cache levels in the order of
+// resolveStore, without its timing. It returns the level whose
+// write-back hit retired the store, or -1 when the store allocated a
+// line or left the caches.
+func (n *Node) primeStore(a access.Addr) int {
+	n.noteStore(a)
+	for k, c := range n.caches {
+		r := c.Access(a, true)
+		if r.HasWriteBack {
+			n.writeVictim(k, r.WriteBack, n.clock.Now())
+		}
+		switch {
+		case r.Hit && !r.WriteThrough:
+			return k
+		case r.Hit:
+		case r.Filled:
+			if !n.combines(k) {
+				n.primeFill(k+1, a)
+			}
+			return -1
+		}
+	}
+	_ = n.wb.Push(a, n.clock.Now(), n.primeWrite)
+	return -1
+}
+
+// repeatStore replays count stores of a run with the given step, the
+// last at address last, each repeating the retired store before them
+// at levels 0..k.
+func (n *Node) repeatStore(k int, last access.Addr, step, count int64) {
+	for j := 0; j <= k; j++ {
+		n.caches[j].RepeatStore(last, count)
+	}
+	if step == int64(units.Word) {
+		n.storeRunLen += count
+	} else {
+		n.storeRunLen = 1
+	}
+	n.storeRunNext = last + access.Addr(units.Word)
+}
+
+// primeWrite is the write buffer's drain target during a store prime.
+// A drain through the coherence backend or the remote router changes
+// other nodes' caches, so it takes the timed path; a drain into the
+// private DRAM changes only timing state, which is discarded.
+func (n *Node) primeWrite(a access.Addr, nb units.Bytes, now units.Time) units.Time {
+	if n.backend != nil || n.remoteAddr(a) && n.remoteWr != nil {
+		return n.memWrite(a, nb, now)
+	}
+	return now
+}
+
+// noteStore advances the contiguous store-run detector past a store
+// at a.
+func (n *Node) noteStore(a access.Addr) {
 	if a == n.storeRunNext {
 		n.storeRunLen++
 	} else {
 		n.storeRunLen = 1
 	}
 	n.storeRunNext = a + access.Addr(units.Word)
+}
+
+// combines reports whether a write-allocate miss at level k skips its
+// fetch: a write-combining node's detected contiguous store run
+// covers the whole line.
+func (n *Node) combines(k int) bool {
+	return n.cfg.WB.WriteCombine &&
+		n.storeRunLen >= n.cfg.Levels[k].Cache.LineSize.Words()
+}
+
+// resolveStore propagates a store down the hierarchy and returns the
+// stall charged to the processor.
+func (n *Node) resolveStore(a access.Addr, now units.Time) units.Time {
+	n.noteStore(a)
 	for k := 0; k < len(n.caches); k++ {
 		r := n.caches[k].Access(a, true)
 		if r.HasWriteBack {
@@ -61,8 +174,7 @@ func (n *Node) resolveStore(a access.Addr, now units.Time) units.Time {
 			// processor stalls only if the fetch backlog exceeds
 			// the miss-queue slack. A write-combining node skips
 			// the fetch for contiguous runs covering whole lines.
-			if n.cfg.WB.WriteCombine &&
-				n.storeRunLen >= n.cfg.Levels[k].Cache.LineSize.Words() {
+			if n.combines(k) {
 				return 0
 			}
 			ready := n.fillFrom(k+1, a, now)

@@ -137,50 +137,64 @@ const (
 	Put
 )
 
-// timeHeap is a min-heap of completion times. EReg retires the
-// earliest outstanding element transfer per issued operation; a heap
-// makes that O(log Registers) instead of a linear scan of up to 512
-// slots. Only the minimum value is ever consumed, so replacing the
-// scan-and-swap-remove with a heap leaves every timing result
-// bit-identical: the extracted minimum and the surviving multiset of
-// completion times are the same.
-type timeHeap []units.Time
-
-func (h *timeHeap) push(t units.Time) {
-	s := append(*h, t)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-	*h = s
+// timeRing holds the completion times of the outstanding E-register
+// transfers in ascending order, in a ring buffer of one slot per
+// register. EReg retires the earliest transfer per issued operation
+// once every register is busy. The minimum sits at the head, and a new
+// completion is inserted by scanning back from the tail. A new
+// completion is nearly always the latest one outstanding, so a
+// retire-and-insert is O(1) in practice rather than a walk down a
+// heap. Only the minimum is ever consumed, and the ring holds the same
+// multiset of times as any other priority queue would, so every timing
+// result is exact.
+type timeRing struct {
+	buf  []units.Time
+	head int // index of the minimum
+	n    int // times held
 }
 
-// replaceMin retires the minimum and inserts t in one sift: the root
-// is overwritten and sifted down, which leaves the same multiset as a
-// pop followed by a push.
-func (h timeHeap) replaceMin(t units.Time) {
-	h[0] = t
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l] < h[small] {
-			small = l
-		}
-		if r < len(h) && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+func newTimeRing(capacity int) timeRing {
+	return timeRing{buf: make([]units.Time, capacity)}
+}
+
+// full reports whether every slot holds an outstanding time.
+func (r *timeRing) full() bool { return r.n == len(r.buf) }
+
+// min returns the earliest outstanding time; the ring must not be
+// empty.
+func (r *timeRing) min() units.Time { return r.buf[r.head] }
+
+// insert adds t, keeping the ring sorted; the ring must not be full.
+// Equal times keep arrival order, which no reader can tell apart.
+func (r *timeRing) insert(t units.Time) {
+	size := len(r.buf)
+	i := r.head + r.n
+	if i >= size {
+		i -= size
 	}
+	for k := r.n; k > 0; k-- {
+		prev := i - 1
+		if prev < 0 {
+			prev += size
+		}
+		if r.buf[prev] <= t {
+			break
+		}
+		r.buf[i] = r.buf[prev]
+		i = prev
+	}
+	r.buf[i] = t
+	r.n++
+}
+
+// replaceMin retires the minimum and inserts t.
+func (r *timeRing) replaceMin(t units.Time) {
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+	r.insert(t)
 }
 
 // EReg moves the words of cp between local and rem through the
@@ -203,14 +217,14 @@ func EReg(net *torus.Network, local, rem *node.Node, cp access.CopyPattern, dir 
 	}
 
 	ops := cfg.Probe.Counter("ops")
-	outstanding := make(timeHeap, 0, cfg.Registers)
+	outstanding := newTimeRing(cfg.Registers)
 	var now, last units.Time
 	issue := func(la, sa access.Addr) {
 		// With every register busy, the issue waits for the earliest
 		// transfer, whose register the new one then takes over.
-		full := len(outstanding) == cfg.Registers
-		if full && outstanding[0] > now {
-			now = outstanding[0]
+		full := outstanding.full()
+		if full && outstanding.min() > now {
+			now = outstanding.min()
 		}
 		readDone := srcNode.EngineRead(la, chunk, now+cfg.IssueSlot)
 		arrive := net.Send(srcNode.ID, dstNode.ID, chunk, readDone)
@@ -222,7 +236,7 @@ func EReg(net *torus.Network, local, rem *node.Node, cp access.CopyPattern, dir 
 		if full {
 			outstanding.replaceMin(done)
 		} else {
-			outstanding.push(done)
+			outstanding.insert(done)
 		}
 		if done > last {
 			last = done

@@ -119,8 +119,24 @@ func TestDepositRouterLocalVsRemote(t *testing.T) {
 	}
 }
 
-// popMin is the two-step retire replaceMin replaces, kept as the
-// reference: remove the root, move the last element up, sift it down.
+// timeHeap is the binary min-heap the E-register engine used before
+// the sorted ring, kept as the reference priority queue.
+type timeHeap []units.Time
+
+func (h *timeHeap) push(t units.Time) {
+	s := append(*h, t)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if s[parent] <= s[i] {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+	*h = s
+}
+
 func (h *timeHeap) popMin() units.Time {
 	s := *h
 	min := s[0]
@@ -147,34 +163,72 @@ func (h *timeHeap) popMin() units.Time {
 	return min
 }
 
-// TestReplaceMinMatchesPopPush drives two heaps with the same random
-// completion times, one retiring with popMin+push and one with
-// replaceMin, and checks that every retired minimum agrees — the only
-// value EReg consumes.
-func TestReplaceMinMatchesPopPush(t *testing.T) {
+// TestRingMatchesHeap drives the sorted ring and the reference heap
+// with the same completion-time streams, retiring exactly as EReg
+// does once every register is busy, and checks every retired minimum
+// (the only value EReg consumes) and the multiset left at the end.
+func TestRingMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, regs := range []int{1, 2, 3, 8, 512} {
-		a := make(timeHeap, 0, regs)
-		b := make(timeHeap, 0, regs)
-		for i := 0; i < 20000; i++ {
-			// Coarse values force ties, which the heaps must agree on.
-			v := units.Time(rng.Intn(4096)) / 4
-			if len(a) < regs {
-				a.push(v)
-				b.push(v)
-				continue
+	streams := []struct {
+		name string
+		next func(i int, last units.Time) units.Time
+	}{
+		// Each completion later than the last: EReg's common case.
+		{"monotone", func(_ int, last units.Time) units.Time {
+			return last + units.Time(1+rng.Intn(50))/4
+		}},
+		// Mostly later, with runs of equal times.
+		{"ties", func(_ int, last units.Time) units.Time {
+			if rng.Intn(3) == 0 {
+				return last
 			}
-			ma := a.popMin()
-			a.push(v)
-			mb := b[0]
-			b.replaceMin(v)
-			if ma != mb {
-				t.Fatalf("registers=%d step %d: pop+push retired %v, replaceMin %v", regs, i, ma, mb)
+			return last + units.Time(rng.Intn(3))
+		}},
+		// Arbitrary order over a coarse range, so ties recur too.
+		{"out-of-order", func(_ int, _ units.Time) units.Time {
+			return units.Time(rng.Intn(4096)) / 4
+		}},
+		// A rising stream that now and then falls far back.
+		{"mostly-monotone", func(i int, last units.Time) units.Time {
+			if i%97 == 0 {
+				return last - units.Time(rng.Intn(800))
 			}
-		}
-		for len(a) > 0 {
-			if ma, mb := a.popMin(), b.popMin(); ma != mb {
-				t.Fatalf("registers=%d drain: %v vs %v", regs, ma, mb)
+			return last + units.Time(rng.Intn(20))
+		}},
+	}
+	for _, regs := range []int{1, 2, 7, 512} {
+		for _, st := range streams {
+			ring := newTimeRing(regs)
+			heap := make(timeHeap, 0, regs)
+			var last units.Time
+			for i := 0; i < 20000; i++ {
+				v := st.next(i, last)
+				last = v
+				if !ring.full() {
+					if len(heap) == regs {
+						t.Fatalf("registers=%d %s step %d: ring has room, heap is full", regs, st.name, i)
+					}
+					ring.insert(v)
+					heap.push(v)
+					continue
+				}
+				want := heap.popMin()
+				heap.push(v)
+				if got := ring.min(); got != want {
+					t.Fatalf("registers=%d %s step %d: ring retires %v, heap %v", regs, st.name, i, got, want)
+				}
+				ring.replaceMin(v)
+			}
+			if ring.n != len(heap) {
+				t.Fatalf("registers=%d %s: ring holds %d times, heap %d", regs, st.name, ring.n, len(heap))
+			}
+			for k := 0; len(heap) > 0; k++ {
+				want := heap.popMin()
+				got := ring.buf[(ring.head+k)%regs]
+				if got != want {
+					t.Fatalf("registers=%d %s: final multiset element %d is %v in the ring, %v in the heap",
+						regs, st.name, k, got, want)
+				}
 			}
 		}
 	}

@@ -11,7 +11,14 @@
 //   - kernels write results into caller-owned slices at the point
 //     index, never by appending from goroutines;
 //   - a single-worker pool runs the kernel inline on the calling
-//     goroutine in index order — the exact legacy sequential path.
+//     goroutine in index order — the exact legacy sequential path;
+//   - a wider pool hands points out longest-first, from index n-1
+//     down to 0. Every grid is working-set-major with working sets
+//     ascending, and a point costs more host time the larger its
+//     working set, so the slowest points start first and no worker
+//     is left alone with one of them at the end of the sweep. The
+//     order changes only which worker runs a point and when, never
+//     its result.
 //
 // Under this contract the assembled surface.Surface / surface.Curve
 // artifacts are byte-identical whatever the worker count.
@@ -88,7 +95,8 @@ func (p *Pool) machine(k int) machine.Machine {
 // caller-owned storage. Returns the error of the lowest failing
 // index, or nil. On a single-worker pool the kernel runs inline in
 // index order and Run fails fast at the first error, exactly like the
-// sequential loops it replaces.
+// sequential loops it replaces. A wider pool hands indices out from
+// n-1 down, the costliest points first.
 func (p *Pool) Run(n int, kernel func(m machine.Machine, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -118,8 +126,8 @@ func (p *Pool) Run(n int, kernel func(m machine.Machine, i int) error) error {
 		go func(m machine.Machine) {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				i := n - int(next.Add(1))
+				if i < 0 {
 					return
 				}
 				m.ColdReset()
@@ -156,8 +164,9 @@ func (p *Pool) RunPruned(n int, skip func(i int) bool, kernel func(m machine.Mac
 }
 
 // RunAt executes kernel for exactly the given point indices, in the
-// given order on a single worker, under the Run determinism contract
-// (ColdReset per point, results by index). It is the subset-run
+// given order on a single worker and from the last one back on a wider
+// pool, under the Run determinism contract (ColdReset per point,
+// results by index). It is the subset-run
 // primitive behind pruned sweeps and store-backed cold-cell fills: a
 // partially cached surface costs only its missing cells.
 func (p *Pool) RunAt(idx []int, kernel func(m machine.Machine, i int) error) error {

@@ -101,14 +101,14 @@ func New(cfg Config) *Network {
 	net := &Network{cfg: cfg}
 	for d := 0; d < 3; d++ {
 		for dir := 0; dir < 2; dir++ {
-			net.links[d][dir] = make([]sim.Resource, n)
+			net.links[d][dir] = make([]sim.Resource, n, lineCap(n))
 		}
 	}
 	nis := n
 	if cfg.SharedNI {
 		nis = (n + 1) / 2
 	}
-	net.nis = make([]sim.Resource, nis)
+	net.nis = make([]sim.Resource, nis, lineCap(nis))
 	net.plans = make([][][3]int, n*n)
 	net.planOK = make([]bool, n*n)
 	net.ps = cfg.Probe
@@ -127,6 +127,14 @@ func New(cfg Config) *Network {
 	}
 	return net
 }
+
+// lineCap rounds a resource count up to whole 64-byte host cache
+// lines. Every Send writes the link and NI resources, and each worker
+// of a parallel sweep owns a network: two networks' small resource
+// arrays sharing a host cache line would bounce it between the
+// workers' cores on every message, which made the T3E transfer
+// surfaces three times slower in about half of the runs.
+func lineCap(n int) int { return (n + 7) &^ 7 }
 
 // Config returns the network configuration.
 func (net *Network) Config() Config { return net.cfg }

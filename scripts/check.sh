@@ -37,6 +37,10 @@
 #                           answer with a confidence tag, /healthz
 #                           must return 2xx, and SIGINT must produce
 #                           a clean (exit 0) shutdown
+#  12. perfbench          — the benchmark's self-tests, then one short
+#                           untraced sweep pass: every simulated cell
+#                           must match the benchmark's bit-for-bit
+#                           reference and its counter gate
 #
 # Run it from the repository root: ./scripts/check.sh
 set -eu
@@ -112,5 +116,9 @@ echo "$batch" | grep -q '"confidence":"' || {
 kill -INT "$serve_pid"
 wait "$serve_pid" || { echo "memserve: unclean shutdown" >&2; exit 1; }
 grep -q "shutdown complete" "$smoke/serve.log"
+
+echo "== perfbench =="
+(cd perfbench && go test ./...)
+python3 perfbench/run.py --workload sweep --seed 1 --seconds 1 --trace 0
 
 echo "check: all green"
