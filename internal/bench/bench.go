@@ -254,19 +254,22 @@ func TransferCurve(p *sweep.Pool, src, dst int, ws units.Bytes, strides []int, m
 }
 
 // prime walks up to primeWords of p with loads (primed-cache
-// semantics, §5). Every caller resets timing before it measures, so
-// the pass runs tag-only: node.PrimeRun leaves the caches exactly as
-// timed loads would, without charging time.
-func prime(n *node.Node, p access.Pattern) {
+// semantics, §5) and returns the number of accesses made. Every
+// caller resets timing before it measures, so the pass runs tag-only:
+// node.PrimeRun leaves the caches exactly as timed loads would,
+// without charging time.
+func prime(n *node.Node, p access.Pattern) int64 {
 	c := access.NewCursor(p)
-	for left := int64(primeWords); left > 0; {
+	left := int64(primeWords)
+	for left > 0 {
 		start, step, count, _, ok := c.Run(left)
 		if !ok {
-			return
+			break
 		}
 		n.PrimeRun(start, step, count)
 		left -= count
 	}
+	return primeWords - left
 }
 
 // primeStore walks up to primeWords of p with stores and drains the

@@ -29,8 +29,10 @@ func timedPrime(n *node.Node, p access.Pattern) {
 // one on all three machines, from a cold machine and from a warm,
 // dirty one (stores on a second node and a store-then-copy on the
 // primed node, with no reset in between): every node must hold the
-// same lines in the same dirty state afterwards, and the measured
-// pass that follows must report bit-identical bandwidth and counters.
+// same lines in the same dirty state afterwards, with the same tag
+// words, LRU stamps, cache clocks and dirty-line counts, and the
+// measured pass that follows must report bit-identical bandwidth and
+// counters.
 func TestPrimeRunMatchesTimedPrime(t *testing.T) {
 	machines := []struct {
 		name string
@@ -73,6 +75,9 @@ func TestPrimeRunMatchesTimedPrime(t *testing.T) {
 					prime(tagOnly.Node(0), p)
 					timedPrime(timed.Node(0), p)
 					comparePrimed(t, tagOnly, timed, p)
+					for i := 0; i < tagOnly.NumNodes(); i++ {
+						compareNodeState(t, tagOnly.Node(i), timed.Node(i))
+					}
 					for _, m := range []machine.Machine{tagOnly, timed} {
 						m.ResetTiming()
 					}

@@ -261,9 +261,9 @@ func (c *Cache) markDirty(i int64) {
 
 // install places line address lineA in the set starting at base —
 // the first invalid way, else the least recently used — and returns
-// the way plus the address of a dirty victim the caller owes a
-// write-back (valid when hasWB).
-func (c *Cache) install(base, lineA int64) (way int64, wb access.Addr, hasWB bool) {
+// the way plus the tag word, dirty flag cleared, of a dirty victim the
+// caller owes a write-back, or 0 when none was evicted.
+func (c *Cache) install(base, lineA int64) (way, victim int64) {
 	way = base
 	if c.lastUse != nil {
 		for i := base; i < base+c.assoc; i++ {
@@ -280,27 +280,38 @@ func (c *Cache) install(base, lineA int64) (way int64, wb access.Addr, hasWB boo
 	if old := c.tags[way]; old == 0 {
 		c.resident++
 	} else if old&tagDirty != 0 {
-		wb, hasWB = access.Addr(old&^tagFlags), true
+		victim = old &^ tagDirty
 		c.dirtyLines--
 	}
 	c.tags[way] = lineA | tagValid
-	return way, wb, hasWB
+	return way, victim
 }
 
-// Result reports the outcome of an Access.
+// Result reports the outcome of an Access. It keeps to four fields:
+// the Go compiler passes a struct of at most four fields in registers,
+// and a fifth sends every result through the stack
+// (TestResultFitsInRegisters).
 type Result struct {
 	Hit bool
 	// Filled is true when the access allocated a line (a fill from
 	// the next level happened).
 	Filled bool
-	// WriteBack is the line address of a dirty victim that must be
-	// written to the next level, valid when HasWriteBack.
-	WriteBack    access.Addr
-	HasWriteBack bool
 	// WriteThrough is true when a store must also be sent to the
 	// next level (write-through policy or non-allocating miss).
 	WriteThrough bool
+	// victim is the tag word of the dirty line the access evicted —
+	// its line address with tagValid set — or 0 when none was, so a
+	// victim at address 0 is still told apart from no victim.
+	victim int64
 }
+
+// HasWriteBack reports whether the access evicted a dirty line that
+// must be written to the next level.
+func (r Result) HasWriteBack() bool { return r.victim != 0 }
+
+// WriteBack is the line address of the dirty victim, valid when
+// HasWriteBack.
+func (r Result) WriteBack() access.Addr { return access.Addr(r.victim &^ tagValid) }
 
 // Access performs a load (isWrite=false) or store (isWrite=true) at
 // byte address a, updating tags and returning what the next level
@@ -338,19 +349,19 @@ func (c *Cache) Access(a access.Addr, isWrite bool) Result {
 		c.readMisses.Inc()
 	}
 
-	way, wb, hasWB := c.install(base, lineA)
-	res := Result{Filled: true, WriteBack: wb, HasWriteBack: hasWB}
-	if hasWB {
+	way, victim := c.install(base, lineA)
+	if victim != 0 {
 		c.writeBacks.Inc()
 	}
+	writeThrough := false
 	if isWrite {
 		if c.cfg.Write == WriteBack {
 			c.markDirty(way)
 		} else {
-			res.WriteThrough = true
+			writeThrough = true
 		}
 	}
-	return res
+	return Result{Filled: true, WriteThrough: writeThrough, victim: victim}
 }
 
 // RepeatStore is k more Access(a, true) calls for a store that leaves

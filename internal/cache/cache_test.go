@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -86,7 +87,7 @@ func TestWriteBackDirtyVictim(t *testing.T) {
 		t.Fatalf("store should dirty the line in a write-back cache")
 	}
 	r := c.Access(128, false) // conflicts with set 0
-	if !r.HasWriteBack || r.WriteBack != 0 {
+	if !r.HasWriteBack() || r.WriteBack() != 0 {
 		t.Fatalf("evicting dirty line should report write-back: %+v", r)
 	}
 	if c.Contains(0) {
@@ -99,7 +100,7 @@ func TestCleanVictimSilent(t *testing.T) {
 		Write: WriteBack, Alloc: ReadWriteAllocate})
 	c.Access(0, false)
 	r := c.Access(128, false)
-	if r.HasWriteBack {
+	if r.HasWriteBack() {
 		t.Fatalf("clean victim must not write back: %+v", r)
 	}
 }
@@ -241,5 +242,52 @@ func TestConfigString(t *testing.T) {
 	s := t3dL1().Config().String()
 	if s == "" {
 		t.Fatal("Config.String should describe the cache")
+	}
+}
+
+// TestResultFitsInRegisters keeps Result at four fields or fewer. The
+// Go compiler's SSA backend splits a struct into registers only up to
+// four fields (MaxStruct in cmd/compile/internal/ssa/decompose.go).
+// With a fifth field every Access result went through the stack as
+// byte stores read back by 8- and 16-byte loads, which store-to-load
+// forwarding cannot serve: in a 52-s CPU profile of a perfbench sweep
+// (seed 3) the reload in the load prime cost 3.8 s and Access's own
+// return 5.3 s, about 17% of the sweep together.
+func TestResultFitsInRegisters(t *testing.T) {
+	if n := reflect.TypeOf(Result{}).NumField(); n > 4 {
+		t.Fatalf("cache.Result has %d fields; more than 4 keeps every Access result out of registers", n)
+	}
+}
+
+func TestRepeatStoreMatchesAccesses(t *testing.T) {
+	// RepeatStore(a, k) leaves the counters, the clock and the LRU
+	// stamps as k more store Accesses would: on a dirty write-back
+	// line, on a write-through hit and on a non-allocating miss.
+	for _, tc := range []struct {
+		cfg   Config
+		addrs []access.Addr
+	}{
+		{Config{Name: "wb", Size: 1 * units.KB, LineSize: 32, Assoc: 2, Write: WriteBack, Alloc: ReadWriteAllocate},
+			[]access.Addr{0x48}},
+		{Config{Name: "wt", Size: 1 * units.KB, LineSize: 32, Assoc: 2, Write: WriteThrough, Alloc: ReadAllocate},
+			[]access.Addr{0x48, 0x2000}},
+	} {
+		cfg := tc.cfg
+		folded, stepped := New(cfg), New(cfg)
+		for _, c := range []*Cache{folded, stepped} {
+			c.Access(0x40, false)
+			c.Access(0x40, true)
+		}
+		for _, a := range tc.addrs {
+			folded.RepeatStore(a, 5)
+			for i := 0; i < 5; i++ {
+				stepped.Access(a, true)
+			}
+		}
+		if folded.Stats() != stepped.Stats() || folded.tick != stepped.tick ||
+			!reflect.DeepEqual(folded.lastUse, stepped.lastUse) {
+			t.Fatalf("%s: RepeatStore %+v tick %d, stepped %+v tick %d",
+				cfg.Name, folded.Stats(), folded.tick, stepped.Stats(), stepped.tick)
+		}
 	}
 }

@@ -80,8 +80,7 @@ func (o *oracleCache) access(a access.Addr, isWrite bool) Result {
 	}
 	res := Result{Filled: true}
 	if set[victim].valid && set[victim].dirty {
-		res.WriteBack = access.Addr(set[victim].tag)
-		res.HasWriteBack = true
+		res.victim = set[victim].tag | tagValid
 		o.stats.WriteBacks++
 	}
 	set[victim] = oracleLine{tag: tag, valid: true, lastUse: o.tick}

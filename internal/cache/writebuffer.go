@@ -25,7 +25,6 @@ type WriteBuffer struct {
 	openValid bool
 	openBase  access.Addr
 	openEnd   access.Addr
-	openAt    units.Time
 
 	// completion times of in-flight drains
 	inflight []units.Time
@@ -64,7 +63,6 @@ func (w *WriteBuffer) Push(a access.Addr, now units.Time, t DrainTarget) units.T
 	w.openValid = true
 	w.openBase = a
 	w.openEnd = a + access.Addr(units.Word)
-	w.openAt = now + stall
 	return stall
 }
 
@@ -114,13 +112,12 @@ func (w *WriteBuffer) Flush(now units.Time, t DrainTarget) units.Time {
 }
 
 // Reset clears all buffered state between benchmark passes. The open
-// window's base/end/time are guarded by openValid, but they are zeroed
+// window's base and end are guarded by openValid, but they are zeroed
 // anyway so two cold starts are bit-identical.
 func (w *WriteBuffer) Reset() {
 	w.openValid = false
 	w.openBase = 0
 	w.openEnd = 0
-	w.openAt = 0
 	w.inflight = w.inflight[:0]
 	w.Drained.Reset()
 	w.DrainedBytes.Reset()

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/access"
@@ -125,5 +126,65 @@ func TestWriteBufferReset(t *testing.T) {
 	}
 	if done := w.Flush(5, tg); done != 5 {
 		t.Fatalf("reset buffer should flush instantly: %v", done)
+	}
+}
+
+// drainLog is a drain target that takes a fixed 100 ns per entry and
+// records each entry's address, size and start time.
+type drainLog struct{ entries []string }
+
+func (d *drainLog) target(a access.Addr, n units.Bytes, now units.Time) units.Time {
+	d.entries = append(d.entries, fmt.Sprintf("%#x+%d@%v", int64(a), int64(n), now))
+	return now + 100
+}
+
+func TestWriteBufferStallExact(t *testing.T) {
+	// One slot: closing the second entry waits for the first drain,
+	// and the flush waits for the third; each stalled drain starts
+	// when its stall ends.
+	var d drainLog
+	w := &WriteBuffer{Entries: 1, EntryBytes: 32}
+	var stalls []units.Time
+	for i, now := range []units.Time{0, 10, 20, 250} {
+		stalls = append(stalls, w.Push(access.Addr(i*64), now, d.target))
+	}
+	done := w.Flush(260, d.target)
+	want := []units.Time{0, 0, 90, 0}
+	for i := range want {
+		if stalls[i] != want[i] {
+			t.Fatalf("stalls %v, want %v", stalls, want)
+		}
+	}
+	if got, want := fmt.Sprint(d.entries), "[0x0+8@10.00ns 0x40+8@110.00ns 0x80+8@250.00ns 0xc0+8@350.00ns]"; got != want {
+		t.Fatalf("drains %s, want %s", got, want)
+	}
+	if done != 450 {
+		t.Fatalf("flush done at %v, want 450ns", done)
+	}
+}
+
+func TestWriteBufferResetMatchesFresh(t *testing.T) {
+	// After Reset a used buffer holds what a new one holds and answers
+	// the same stream with the same stalls, drains and counts.
+	run := func(w *WriteBuffer) string {
+		var d drainLog
+		var stalls []units.Time
+		for i := 0; i < 6; i++ {
+			stalls = append(stalls, w.Push(access.Addr(i*8+i/3*64), units.Time(i), d.target))
+		}
+		done := w.Flush(10, d.target)
+		return fmt.Sprint(stalls, d.entries, done, w.Drained.Get(), w.DrainedBytes.Get())
+	}
+	used := counted(&WriteBuffer{Entries: 2, EntryBytes: 32})
+	run(used)
+	used.Push(0x1000, 500, (&drainLog{}).target)
+	used.Push(0x2000, 510, (&drainLog{}).target)
+	used.Reset()
+	if used.openValid || used.openBase != 0 || used.openEnd != 0 || len(used.inflight) != 0 {
+		t.Fatalf("reset left open %v [%#x,%#x) and %d in flight",
+			used.openValid, int64(used.openBase), int64(used.openEnd), len(used.inflight))
+	}
+	if got, want := run(used), run(counted(&WriteBuffer{Entries: 2, EntryBytes: 32})); got != want {
+		t.Fatalf("after reset %s, fresh %s", got, want)
 	}
 }

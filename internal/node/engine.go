@@ -14,7 +14,7 @@ func (n *Node) EngineWrite(a access.Addr, nb units.Bytes, now units.Time) units.
 	last := a + access.Addr(nb) - 1
 	lineBytes := access.Addr(64)
 	if len(n.caches) > 0 {
-		lineBytes = access.Addr(n.caches[0].Config().LineSize)
+		lineBytes = access.Addr(n.cfg.Levels[0].Cache.LineSize)
 	}
 	for l := a &^ (lineBytes - 1); l <= last; l += lineBytes {
 		n.InvalidateLine(l)

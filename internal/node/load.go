@@ -61,8 +61,8 @@ func (n *Node) primeLoad(a access.Addr) {
 func (n *Node) primeFill(k int, a access.Addr) {
 	for j := k; j < len(n.caches); j++ {
 		r := n.caches[j].Access(a, false)
-		if r.HasWriteBack {
-			n.writeVictim(j, r.WriteBack, n.clock.Now())
+		if r.HasWriteBack() {
+			n.writeVictim(j, r.WriteBack(), n.clock.Now())
 		}
 		if r.Hit {
 			return
@@ -104,8 +104,8 @@ func (n *Node) resolveLoad(a access.Addr, now units.Time) units.Time {
 	if r.Hit {
 		return now // L1 hit: fully pipelined within the issue slot
 	}
-	if r.HasWriteBack {
-		n.writeVictim(0, r.WriteBack, now)
+	if r.HasWriteBack() {
+		n.writeVictim(0, r.WriteBack(), now)
 	}
 	return n.fillFrom(1, a, now)
 }
@@ -116,8 +116,8 @@ func (n *Node) resolveLoad(a access.Addr, now units.Time) units.Time {
 func (n *Node) fillFrom(k int, a access.Addr, now units.Time) units.Time {
 	for j := k; j < len(n.caches); j++ {
 		r := n.caches[j].Access(a, false)
-		if r.HasWriteBack {
-			n.writeVictim(j, r.WriteBack, now)
+		if r.HasWriteBack() {
+			n.writeVictim(j, r.WriteBack(), now)
 		}
 		if r.Hit {
 			return n.chargeFill(j, a, now)
@@ -145,7 +145,7 @@ func (n *Node) chargeFill(j int, a access.Addr, now units.Time) units.Time {
 	if j == 0 {
 		return now
 	}
-	spec := n.cfg.Levels[j]
+	spec := &n.cfg.Levels[j]
 	line := n.caches[j].LineAddr(a)
 	lineBytes := access.Addr(spec.Cache.LineSize)
 

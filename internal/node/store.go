@@ -90,8 +90,8 @@ func (n *Node) primeStore(a access.Addr) int {
 	n.noteStore(a)
 	for k, c := range n.caches {
 		r := c.Access(a, true)
-		if r.HasWriteBack {
-			n.writeVictim(k, r.WriteBack, n.clock.Now())
+		if r.HasWriteBack() {
+			n.writeVictim(k, r.WriteBack(), n.clock.Now())
 		}
 		switch {
 		case r.Hit && !r.WriteThrough:
@@ -159,8 +159,8 @@ func (n *Node) resolveStore(a access.Addr, now units.Time) units.Time {
 	n.noteStore(a)
 	for k := 0; k < len(n.caches); k++ {
 		r := n.caches[k].Access(a, true)
-		if r.HasWriteBack {
-			n.writeVictim(k, r.WriteBack, now)
+		if r.HasWriteBack() {
+			n.writeVictim(k, r.WriteBack(), now)
 		}
 		switch {
 		case r.Hit && !r.WriteThrough:
@@ -203,7 +203,7 @@ func (n *Node) storeSlackStall(now, ready units.Time) units.Time {
 // level dirty so the data eventually reaches memory.
 func (n *Node) writeVictim(k int, lineAddr access.Addr, now units.Time) {
 	if k+1 < len(n.caches) {
-		spec := n.cfg.Levels[k+1]
+		spec := &n.cfg.Levels[k+1]
 		// The victim write occupies the fill path but nothing waits
 		// on it; the start time is deliberately dropped.
 		_ = n.fills[k+1].Acquire(now, spec.WriteOcc)

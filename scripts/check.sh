@@ -23,21 +23,25 @@
 #                           layer; any survivor is a hard failure
 #                           (the full sweep is `make mutate`)
 #   7. go test -race ./...— the full suite under the race detector
-#   8. memtrace smoke     — one traced point end to end
-#   9. analytic validation — memchar -validate on a reduced grid
+#   8. hot-primitive benchmarks — BenchmarkPrime and BenchmarkMeasure
+#                           run once each, so the host ns-per-access
+#                           probes of a load cell keep compiling and
+#                           running
+#   9. memtrace smoke     — one traced point end to end
+#  10. analytic validation — memchar -validate on a reduced grid
 #                           (working sets to 512K): every regime's
 #                           mean divergence between the closed-form
 #                           model and the simulator stays within 15%
-#  10. warm-store smoke   — one figure rendered twice against the
+#  11. warm-store smoke   — one figure rendered twice against the
 #                           same surface store; the warm run must
 #                           reproduce the cold bytes exactly
-#  11. memserve smoke     — the characterization service on loopback
-#                           against the warm store from step 10: one
+#  12. memserve smoke     — the characterization service on loopback
+#                           against the warm store from step 11: one
 #                           single and one batch bandwidth query must
 #                           answer with a confidence tag, /healthz
 #                           must return 2xx, and SIGINT must produce
 #                           a clean (exit 0) shutdown
-#  12. perfbench          — the benchmark's self-tests, then one short
+#  13. perfbench          — the benchmark's self-tests, then one short
 #                           untraced sweep pass: every simulated cell
 #                           must match the benchmark's bit-for-bit
 #                           reference and its counter gate
@@ -74,6 +78,9 @@ go run ./cmd/simmut -budget 25 ./internal/serve
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== hot-primitive benchmarks (one iteration) =="
+go test -run '^$' -bench 'Prime|Measure' -benchtime 1x ./internal/bench
 
 echo "== memtrace smoke =="
 go run ./cmd/memtrace -machine 8400 -ws 16K -stride 4 -out /dev/null
