@@ -32,7 +32,9 @@ func timedPrime(n *node.Node, p access.Pattern) {
 // same lines in the same dirty state afterwards, with the same tag
 // words, LRU stamps, cache clocks and dirty-line counts, and the
 // measured pass that follows must report bit-identical bandwidth and
-// counters.
+// counters. On the 8400 a third start has the second node's only
+// dirty lines inside the run, so the run itself cleans them: the
+// per-run snoop check must see them and keep snooping while they go.
 func TestPrimeRunMatchesTimedPrime(t *testing.T) {
 	machines := []struct {
 		name string
@@ -60,20 +62,41 @@ func TestPrimeRunMatchesTimedPrime(t *testing.T) {
 		LocalCopy(m, 0, access.CopyPattern{SrcBase: base + 1<<28, DstBase: p.Base + access.Addr(8*units.KB),
 			WorkingSet: 16 * units.KB, LoadStride: 5, StoreStride: 1})
 	}
+	// peer dirties one word in each of the first 64 memory lines the
+	// prime touches, on node 1 only.
+	peer := func(m machine.Machine, p access.Pattern) {
+		m.Node(1).StoreRun(p.Base, max(64, 8*int64(p.Stride)), 64)
+		m.Node(1).FlushWrites()
+	}
 	for _, mc := range machines {
 		for pi, p := range patterns {
-			for _, warm := range []bool{false, true} {
-				name := fmt.Sprintf("%s/p%d/warm=%v", mc.name, pi, warm)
+			type start struct {
+				name  string
+				setup func(machine.Machine, access.Pattern)
+			}
+			starts := []start{{"warm=false", nil}, {"warm=true", dirty}}
+			if mc.name == "8400" {
+				starts = append(starts, start{"peer", peer})
+			}
+			for _, st := range starts {
+				name := fmt.Sprintf("%s/p%d/%s", mc.name, pi, st.name)
 				t.Run(name, func(t *testing.T) {
 					tagOnly, timed := mc.mk(), mc.mk()
 					for _, m := range []machine.Machine{tagOnly, timed} {
 						m.ColdReset()
-						if warm {
-							dirty(m, p)
+						if st.setup != nil {
+							st.setup(m, p)
 						}
+					}
+					if st.name == "peer" && !tagOnly.Node(1).HasDirty() {
+						t.Fatal("setup left node 1 clean")
 					}
 					prime(tagOnly.Node(0), p)
 					timedPrime(timed.Node(0), p)
+					if st.name == "peer" && (tagOnly.Node(1).HasDirty() || timed.Node(1).HasDirty()) {
+						t.Fatalf("node 1 still dirty after the prime: tag-only %v, timed %v",
+							tagOnly.Node(1).HasDirty(), timed.Node(1).HasDirty())
+					}
 					comparePrimed(t, tagOnly, timed, p)
 					for i := 0; i < tagOnly.NumNodes(); i++ {
 						compareNodeState(t, tagOnly.Node(i), timed.Node(i))
@@ -186,7 +209,8 @@ func TestPrimeRunKeepsFreeRideState(t *testing.T) {
 // node's memory. Afterwards every node must hold the same lines in
 // the same dirty state, node 0's caches and store-run detector must
 // match word for word, and a timed store-and-load pass must report
-// bit-identical time and counters.
+// bit-identical time and counters. On the 8400 a third start has
+// node 1's only dirty lines inside the run, which cleans them.
 func TestPrimeStoreRunMatchesStoreRun(t *testing.T) {
 	machines := []struct {
 		name string
@@ -231,22 +255,44 @@ func TestPrimeStoreRunMatchesStoreRun(t *testing.T) {
 		n0.FlushWrites()
 		n1.FlushWrites()
 	}
+	// peer dirties, on node 1 only, one word at the start of each of
+	// the first 64 memory lines the run stores into.
+	peer := func(m machine.Machine, r run) {
+		step := max(64, r.step)
+		m.Node(1).StoreRun(r.start&^63, step, min(64, r.step*(r.count-1)/step+1))
+		m.Node(1).FlushWrites()
+	}
 	for _, mc := range machines {
 		for ri, r := range runs {
-			for _, warm := range []bool{false, true} {
-				name := fmt.Sprintf("%s/r%d/warm=%v", mc.name, ri, warm)
+			type start struct {
+				name  string
+				setup func(machine.Machine, run)
+			}
+			starts := []start{{"warm=false", nil}, {"warm=true", dirty}}
+			if mc.name == "8400" {
+				starts = append(starts, start{"peer", peer})
+			}
+			for _, st := range starts {
+				name := fmt.Sprintf("%s/r%d/%s", mc.name, ri, st.name)
 				t.Run(name, func(t *testing.T) {
 					tagOnly, timed := mc.mk(), mc.mk()
 					for _, m := range []machine.Machine{tagOnly, timed} {
 						m.ColdReset()
-						if warm {
-							dirty(m, r)
+						if st.setup != nil {
+							st.setup(m, r)
 						}
+					}
+					if st.name == "peer" && !tagOnly.Node(1).HasDirty() {
+						t.Fatal("setup left node 1 clean")
 					}
 					tagOnly.Node(0).PrimeStoreRun(r.start, r.step, r.count)
 					tagOnly.Node(0).FlushWrites()
 					timed.Node(0).StoreRun(r.start, r.step, r.count)
 					timed.Node(0).FlushWrites()
+					if st.name == "peer" && (tagOnly.Node(1).HasDirty() || timed.Node(1).HasDirty()) {
+						t.Fatalf("node 1 still dirty after the run: tag-only %v, timed %v",
+							tagOnly.Node(1).HasDirty(), timed.Node(1).HasDirty())
+					}
 
 					span := units.Bytes(r.step*(r.count-1)) + 128
 					for _, p := range []access.Pattern{

@@ -80,3 +80,50 @@ func benchLoadPass(b *testing.B, measured bool) {
 		})
 	}
 }
+
+// BenchmarkTransfer times one remote transfer cell from a cold
+// machine — the 8400's pull and the Crays' fetch and deposit, at unit
+// and line-sized stride over 1 MB, between node 0 and its preferred
+// partner as the transfer surfaces run it — and reports the host cost
+// of one word of the working set.
+func BenchmarkTransfer(b *testing.B) {
+	cases := []struct {
+		name string
+		mk   func() machine.Machine
+		mode machine.Mode
+	}{
+		{"8400/pull", func() machine.Machine { return machine.NewDEC8400(4) }, machine.Fetch},
+		{"t3d/fetch", func() machine.Machine { return machine.NewT3D(4) }, machine.Fetch},
+		{"t3d/deposit", func() machine.Machine { return machine.NewT3D(4) }, machine.Deposit},
+		{"t3e/fetch", func() machine.Machine { return machine.NewT3E(4) }, machine.Fetch},
+		{"t3e/deposit", func() machine.Machine { return machine.NewT3E(4) }, machine.Deposit},
+	}
+	const ws = units.MB
+	for _, tc := range cases {
+		for _, stride := range []int{1, 16} {
+			b.Run(fmt.Sprintf("%s/s%d/%v", tc.name, stride, ws), func(b *testing.B) {
+				m := tc.mk()
+				dst := machine.PreferredPartner(m)
+				cp := access.CopyPattern{SrcBase: machine.LocalBase(0), DstBase: machine.LocalBase(dst),
+					WorkingSet: ws, LoadStride: 1, StoreStride: 1}
+				if tc.mode == machine.Deposit {
+					cp.StoreStride = stride
+				} else {
+					cp.LoadStride = stride
+				}
+				var words int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					m.ColdReset()
+					b.StartTimer()
+					if _, err := Transfer(m, 0, dst, cp, machine.Options{Mode: tc.mode}); err != nil {
+						b.Fatal(err)
+					}
+					words += int64(ws.Words())
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word")
+			})
+		}
+	}
+}

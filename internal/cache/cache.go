@@ -135,11 +135,13 @@ type Cache struct {
 	lineShift uint
 	lineMask  int64
 	tick      int64
-	// dirtyLines counts resident dirty lines, so Dirty answers at
-	// once on a cache holding none — the common case of the 8400's
-	// snoop on every fill.
+	// dirtyLines counts resident dirty lines, so Dirty and Clean
+	// answer at once on a cache holding none — the common case of
+	// the 8400's snoop on every fill.
 	dirtyLines int64
-	// resident counts valid lines, so InvalidateAll counts its
+	// resident counts valid lines, so Contains, Invalidate and
+	// SetDirty answer at once on an empty cache (a Cray receiver's
+	// caches under an engine deposit), and InvalidateAll counts its
 	// invalidations without reading the tags and skips clearing a
 	// cache that holds nothing.
 	resident int64
@@ -384,20 +386,32 @@ func (c *Cache) RepeatStore(a access.Addr, k int64) {
 	c.writeHits.Add(k)
 }
 
-// Contains reports whether the line holding a is present (no state
-// update; used by coherence probes).
+// The tag searches below sit behind small guards that the compiler
+// inlines into node's per-level loops: an empty cache answers
+// Contains, Invalidate and SetDirty, and a cache with no dirty line
+// answers Dirty and Clean, without reading a tag. No counter moves on
+// those paths, so the answer is the full search's.
+
+// Contains reports whether the line holding a is present, with no
+// state update (node.Holds, which tests use to inspect a machine).
 func (c *Cache) Contains(a access.Addr) bool {
-	return c.find(a) >= 0
+	return c.resident != 0 && c.contains(a)
 }
+
+func (c *Cache) contains(a access.Addr) bool { return c.find(a) >= 0 }
 
 // Dirty reports whether the line holding a is present and dirty.
 func (c *Cache) Dirty(a access.Addr) bool {
-	if c.dirtyLines == 0 {
-		return false
-	}
+	return c.dirtyLines != 0 && c.dirty(a)
+}
+
+func (c *Cache) dirty(a access.Addr) bool {
 	i := c.find(a)
 	return i >= 0 && c.tags[i]&tagDirty != 0
 }
+
+// HasDirty reports whether any resident line is dirty.
+func (c *Cache) HasDirty() bool { return c.dirtyLines != 0 }
 
 // Invalidate drops the line containing a, returning whether it was
 // present and dirty (the caller then owes a write-back). The T3D
@@ -405,6 +419,13 @@ func (c *Cache) Dirty(a access.Addr) bool {
 // memory" by the remote-deposit circuitry (§3.2); the 8400's snooping
 // protocol invalidates on remote writes.
 func (c *Cache) Invalidate(a access.Addr) (present, dirty bool) {
+	if c.resident == 0 {
+		return false, false
+	}
+	return c.invalidate(a)
+}
+
+func (c *Cache) invalidate(a access.Addr) (present, dirty bool) {
 	i := c.find(a)
 	if i < 0 {
 		return false, false
@@ -453,6 +474,10 @@ func (c *Cache) ResetStats() { c.ps.Reset() }
 // whether it was found (a victim from the level above landed in this
 // level and must eventually be written back further down).
 func (c *Cache) SetDirty(a access.Addr) bool {
+	return c.resident != 0 && c.setDirty(a)
+}
+
+func (c *Cache) setDirty(a access.Addr) bool {
 	i := c.find(a)
 	if i < 0 {
 		return false
@@ -464,6 +489,12 @@ func (c *Cache) SetDirty(a access.Addr) bool {
 // Clean marks the line containing a clean if present (after a
 // coherence write-back supplied the data to another processor).
 func (c *Cache) Clean(a access.Addr) {
+	if c.dirtyLines != 0 {
+		c.clean(a)
+	}
+}
+
+func (c *Cache) clean(a access.Addr) {
 	if i := c.find(a); i >= 0 && c.tags[i]&tagDirty != 0 {
 		c.tags[i] &^= tagDirty
 		c.dirtyLines--

@@ -78,14 +78,14 @@ func (w *WriteBuffer) closeOpen(now units.Time, t DrainTarget) units.Time {
 	var stall units.Time
 	// Find a free slot; if none, wait for the earliest completion.
 	if len(w.inflight) >= w.Entries && w.Entries > 0 {
-		earliest := 0
+		earliest, first := 0, w.inflight[0]
 		for i, c := range w.inflight {
-			if c < w.inflight[earliest] {
-				earliest = i
+			if c < first {
+				earliest, first = i, c
 			}
 		}
-		if w.inflight[earliest] > now {
-			stall = w.inflight[earliest] - now
+		if first > now {
+			stall = first - now
 		}
 		w.inflight[earliest] = w.inflight[len(w.inflight)-1]
 		w.inflight = w.inflight[:len(w.inflight)-1]

@@ -108,6 +108,18 @@ func (c *Controller) Intervenes(nodeID int, line access.Addr) bool {
 	return c.dirtyHolder(nodeID, line) != nil
 }
 
+// OthersDirty implements node.MemBackend: whether any node other than
+// nodeID holds a dirty line, so that some Fill by nodeID could pull a
+// line over.
+func (c *Controller) OthersDirty(nodeID int) bool {
+	for _, other := range c.nodes {
+		if other.ID != nodeID && other.HasDirty() {
+			return true
+		}
+	}
+	return false
+}
+
 // dirtyHolder returns the first node other than nodeID whose cache
 // holds line dirty — the snoop's supplier — or nil.
 func (c *Controller) dirtyHolder(nodeID int, line access.Addr) *node.Node {

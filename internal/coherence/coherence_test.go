@@ -107,3 +107,28 @@ func TestResetClearsState(t *testing.T) {
 		t.Errorf("reset should zero counters")
 	}
 }
+
+// TestOthersDirty follows OthersDirty through the two ways another
+// node's dirt can go while one node runs: a cache-to-cache supply
+// cleans it, a bus write invalidates it. A node's own dirt never
+// counts.
+func TestOthersDirty(t *testing.T) {
+	c, nodes := testSystem()
+	if c.OthersDirty(0) || c.OthersDirty(1) {
+		t.Fatal("a cold machine has dirt")
+	}
+	nodes[1].StoreWord(0x2000)
+	nodes[1].StoreWord(0x4000)
+	if !c.OthersDirty(0) || c.OthersDirty(1) {
+		t.Fatalf("node 1 dirty: OthersDirty(0) = %v, OthersDirty(1) = %v; want true, false",
+			c.OthersDirty(0), c.OthersDirty(1))
+	}
+	c.Fill(0, 0x2000, 64, 0)
+	if !c.OthersDirty(0) {
+		t.Fatal("one of node 1's two dirty lines supplied, OthersDirty(0) = false")
+	}
+	c.Write(0, 0x4000, 64, 0)
+	if c.OthersDirty(0) {
+		t.Fatal("node 1's dirt supplied and invalidated, OthersDirty(0) = true")
+	}
+}

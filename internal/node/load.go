@@ -38,27 +38,37 @@ func (n *Node) LoadReady(a access.Addr, now units.Time) units.Time {
 // take the timed path, so the result is exact from any starting
 // state, not only after a ColdReset.
 func (n *Node) PrimeRun(start access.Addr, step, count int64) {
+	snoop := n.othersDirty()
 	a := start
 	for i := int64(0); i < count; i++ {
-		n.primeLoad(a)
+		n.primeLoad(a, snoop)
 		a += access.Addr(step)
 	}
 }
 
+// othersDirty reports whether a priming run must snoop its fills: a
+// backend is attached and another node holds a dirty line. The answer
+// holds for the whole run (MemBackend.OthersDirty).
+func (n *Node) othersDirty() bool {
+	return n.backend != nil && n.backend.OthersDirty(n.ID)
+}
+
 // primeLoad walks one load through the cache levels in the order of
 // resolveLoad and fillFrom, without their timing.
-func (n *Node) primeLoad(a access.Addr) {
+func (n *Node) primeLoad(a access.Addr, snoop bool) {
 	if n.remoteAddr(a) && n.remoteRd != nil {
 		_ = n.resolveLoad(a, n.clock.Now())
 		return
 	}
-	n.primeFill(0, a)
+	n.primeFill(0, a, snoop)
 }
 
 // primeFill walks a fill of the line containing a through cache
 // levels k.. and DRAM in the order of fillFrom and dramFill, without
-// their timing.
-func (n *Node) primeFill(k int, a access.Addr) {
+// their timing. snoop is the run's othersDirty answer: when it is
+// false no other node can supply the line, and the backend is not
+// asked.
+func (n *Node) primeFill(k int, a access.Addr, snoop bool) {
 	for j := k; j < len(n.caches); j++ {
 		r := n.caches[j].Access(a, false)
 		if r.HasWriteBack() {
@@ -76,7 +86,7 @@ func (n *Node) primeFill(k int, a access.Addr) {
 	if n.dramValid && n.dramLast == line {
 		return
 	}
-	if n.backend != nil && n.backend.Intervenes(n.ID, line) {
+	if snoop && n.backend.Intervenes(n.ID, line) {
 		_ = n.dramFill(a, n.clock.Now())
 		return
 	}

@@ -108,6 +108,14 @@ type MemBackend interface {
 	// dirty holder supplying the line). The tag-only priming pass
 	// sends only those fills through Fill.
 	Intervenes(nodeID int, line access.Addr) bool
+	// OthersDirty reports, without side effects, whether any node
+	// other than nodeID holds a dirty line. A priming run asks once,
+	// at its start, and skips Intervenes for the whole run on a
+	// false answer: while one node runs, the others' caches change
+	// only through a Fill's cache-to-cache supply (which cleans the
+	// line) and a Write's snoop (which invalidates it), so they gain
+	// no dirt until the run ends.
+	OthersDirty(nodeID int) bool
 }
 
 // WriteBufferSpec configures the store retire path.
@@ -442,6 +450,16 @@ func (n *Node) CleanLine(a access.Addr) {
 func (n *Node) HoldsDirty(a access.Addr) bool {
 	for _, c := range n.caches {
 		if c.Dirty(a) {
+			return true
+		}
+	}
+	return false
+}
+
+// HasDirty reports whether any cache level holds a dirty line.
+func (n *Node) HasDirty() bool {
+	for _, c := range n.caches {
+		if c.HasDirty() {
 			return true
 		}
 	}

@@ -255,6 +255,8 @@ func (f *fakeBackend) Fill(nodeID int, line access.Addr, lb units.Bytes, now uni
 
 func (f *fakeBackend) Intervenes(nodeID int, line access.Addr) bool { return false }
 
+func (f *fakeBackend) OthersDirty(nodeID int) bool { return false }
+
 func (f *fakeBackend) Write(nodeID int, a access.Addr, nb units.Bytes, now units.Time) units.Time {
 	f.writes++
 	return now + 100

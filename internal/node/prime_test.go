@@ -19,6 +19,8 @@ func (b *logBackend) Fill(_ int, _ access.Addr, _ units.Bytes, now units.Time) u
 
 func (b *logBackend) Intervenes(int, access.Addr) bool { return false }
 
+func (b *logBackend) OthersDirty(int) bool { return false }
+
 func (b *logBackend) Write(_ int, a access.Addr, nb units.Bytes, now units.Time) units.Time {
 	b.writes = append(b.writes, a, access.Addr(nb))
 	return now + 100

@@ -58,9 +58,10 @@ func (n *Node) PrimeStoreRun(start access.Addr, step, count int64) {
 			line = sz
 		}
 	}
+	snoop := n.othersDirty()
 	a := start
 	for i := int64(0); i < count; {
-		k := n.primeStore(a)
+		k := n.primeStore(a, snoop)
 		i++
 		if k >= 0 {
 			rest := count - i
@@ -85,8 +86,8 @@ func (n *Node) PrimeStoreRun(start access.Addr, step, count int64) {
 // primeStore walks one store through the cache levels in the order of
 // resolveStore, without its timing. It returns the level whose
 // write-back hit retired the store, or -1 when the store allocated a
-// line or left the caches.
-func (n *Node) primeStore(a access.Addr) int {
+// line or left the caches. snoop is as for primeFill.
+func (n *Node) primeStore(a access.Addr, snoop bool) int {
 	n.noteStore(a)
 	for k, c := range n.caches {
 		r := c.Access(a, true)
@@ -99,7 +100,7 @@ func (n *Node) primeStore(a access.Addr) int {
 		case r.Hit:
 		case r.Filled:
 			if !n.combines(k) {
-				n.primeFill(k+1, a)
+				n.primeFill(k+1, a, snoop)
 			}
 			return -1
 		}

@@ -111,7 +111,10 @@ func (d *Detector) OnMiss(lineAddr access.Addr) bool {
 	d.tick++
 	line := access.Addr(d.cfg.LineBytes)
 
-	// Continue an existing stream?
+	// One pass continues an existing stream or, failing that, finds
+	// the slot a new candidate stream replaces: the first with the
+	// smallest lastUse (least recently used).
+	victim, oldest := 0, d.streams[0].lastUse
 	for i := range d.streams {
 		s := &d.streams[i]
 		if s.hits > 0 && lineAddr == s.next {
@@ -124,13 +127,8 @@ func (d *Detector) OnMiss(lineAddr access.Addr) bool {
 			}
 			return false
 		}
-	}
-
-	// Start a new candidate stream in the LRU slot.
-	victim := 0
-	for i := range d.streams {
-		if d.streams[i].lastUse < d.streams[victim].lastUse {
-			victim = i
+		if s.lastUse < oldest {
+			victim, oldest = i, s.lastUse
 		}
 	}
 	d.streams[victim] = tracked{next: lineAddr + line, hits: 1, lastUse: d.tick}

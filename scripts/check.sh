@@ -23,10 +23,11 @@
 #                           layer; any survivor is a hard failure
 #                           (the full sweep is `make mutate`)
 #   7. go test -race ./...— the full suite under the race detector
-#   8. hot-primitive benchmarks — BenchmarkPrime and BenchmarkMeasure
-#                           run once each, so the host ns-per-access
-#                           probes of a load cell keep compiling and
-#                           running
+#   8. hot-primitive benchmarks — BenchmarkPrime, BenchmarkMeasure
+#                           and BenchmarkTransfer run once each, so
+#                           the host ns-per-access probes of a load
+#                           cell and the ns-per-word probes of a
+#                           transfer cell keep compiling and running
 #   9. memtrace smoke     — one traced point end to end
 #  10. analytic validation — memchar -validate on a reduced grid
 #                           (working sets to 512K): every regime's
@@ -80,7 +81,7 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== hot-primitive benchmarks (one iteration) =="
-go test -run '^$' -bench 'Prime|Measure' -benchtime 1x ./internal/bench
+go test -run '^$' -bench 'Prime|Measure|Transfer' -benchtime 1x ./internal/bench
 
 echo "== memtrace smoke =="
 go run ./cmd/memtrace -machine 8400 -ws 16K -stride 4 -out /dev/null
