@@ -171,24 +171,15 @@ func (st *pruneStats) report() {
 
 // loadSurf and transferSurf produce one surface, honouring -fast.
 func loadSurf(p *sweep.Pool, maxWS units.Bytes, fast bool, st *pruneStats) *surface.Surface {
-	if fast {
-		s, sim, total := report.LoadFigurePruned(p, maxWS)
-		st.note(sim, total)
-		return s
-	}
-	return report.LoadFigure(p, maxWS)
+	s, sim, total := report.LoadFigure(p, maxWS, fast)
+	st.note(sim, total)
+	return s
 }
 
 func transferSurf(p *sweep.Pool, mode machine.Mode, maxWS units.Bytes, fast bool, st *pruneStats) (*surface.Surface, error) {
-	if fast {
-		s, sim, total, err := report.TransferFigurePruned(p, mode, maxWS)
-		if err != nil {
-			return nil, err
-		}
-		st.note(sim, total)
-		return s, nil
-	}
-	return report.TransferFigure(p, mode, maxWS)
+	s, sim, total, err := report.TransferFigure(p, mode, maxWS, fast)
+	st.note(sim, total)
+	return s, err
 }
 
 // figureSpec describes how to produce each numbered figure.

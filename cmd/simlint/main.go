@@ -12,14 +12,12 @@
 //	simlint -prune-baseline -baseline lint.baseline.json ./...  # drop stale entries
 //	simlint -ignores ./...        # audit every //simlint:ignore
 //
-// Each analyzer has an enable flag named after it (default true);
-// retired analyzer names (cycledrop) remain as deprecated aliases for
-// their successors. Findings print as file:line:col: [analyzer]
-// message. Exit status is 0 when clean, 1 when any finding is
-// reported (or, under -fix -dry-run, when fixes would apply), 2 on
-// load or usage errors. Suppress a finding with a `//simlint:ignore
-// <analyzer> <reason>` comment on the offending line or the line
-// above.
+// Each analyzer has an enable flag named after it (default true).
+// Findings print as file:line:col: [analyzer] message. Exit status is
+// 0 when clean, 1 when any finding is reported (or, under -fix
+// -dry-run, when fixes would apply), 2 on load or usage errors.
+// Suppress a finding with a `//simlint:ignore <analyzer> <reason>`
+// comment on the offending line or the line above.
 //
 // Runs are incremental: per-package results are cached on disk
 // (-cache-dir, default .simlintcache) keyed by the content of the
@@ -60,9 +58,6 @@ func run() int {
 	for _, a := range lint.All {
 		enabled[a.Name] = flag.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+a.Doc)
 	}
-	for old, a := range lint.Aliases() {
-		enabled[old] = flag.Bool(old, true, "deprecated alias for -"+a.Name)
-	}
 	flag.Parse()
 
 	patterns := flag.Args()
@@ -74,18 +69,9 @@ func run() int {
 		return reportIgnores(patterns)
 	}
 
-	// A deprecated alias flag set to false disables its successor.
-	off := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) {
-		if v, ok := enabled[f.Name]; ok && !*v {
-			if a := lint.ByName(f.Name); a != nil {
-				off[a.Name] = true
-			}
-		}
-	})
 	var analyzers []*lint.Analyzer
 	for _, a := range lint.All {
-		if *enabled[a.Name] && !off[a.Name] {
+		if *enabled[a.Name] {
 			analyzers = append(analyzers, a)
 		}
 	}

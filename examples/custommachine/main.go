@@ -52,7 +52,7 @@ func main() {
 			if seg {
 				n.SegmentStart()
 			}
-			n.LoadWord(a)
+			n.LoadRun(a, 0, 1)
 		})
 		return units.BW(ws, n.Now()).MBps()
 	}

@@ -16,8 +16,6 @@ import (
 	"repro/internal/access"
 	"repro/internal/machine"
 	"repro/internal/node"
-	"repro/internal/surface"
-	"repro/internal/sweep"
 	"repro/internal/units"
 )
 
@@ -95,162 +93,6 @@ func Transfer(m machine.Machine, src, dst int, cp access.CopyPattern, opt machin
 		return 0, err
 	}
 	return units.BW(cp.WorkingSet, elapsed), nil
-}
-
-// LoadSurface sweeps LoadSum over the grid — Figures 1, 3, and 6.
-// Points fan out across the pool's workers; results land by index, so
-// the surface is byte-identical whatever the pool width. With a store
-// attached to the pool, a cached surface under the same calibration
-// is served (partial artifacts cost only their cold cells) and fresh
-// results are written back.
-func LoadSurface(p *sweep.Pool, idx int, strides []int, wss []units.Bytes) *surface.Surface {
-	cal := p.Machine().Calibration()
-	key := LoadSurfaceKey(cal, idx, strides, wss)
-	base := machine.LocalBase(idx)
-	kernel := func(m machine.Machine, i int, s *surface.Surface) error {
-		wi, si := i/len(strides), i%len(strides)
-		bw := LoadSum(m, idx, access.Pattern{Base: base, WorkingSet: wss[wi], Stride: strides[si]})
-		s.Set(wi, si, bw)
-		s.SetSource(wi, si, surface.Simulated)
-		return nil
-	}
-	if s, done := storedSurface(p, key, kernel); done {
-		return s
-	}
-	s := surface.New(p.Machine().Name(), "local load bandwidth", strides, wss)
-	s.CalHash = cal.Hash()
-	// The load kernel cannot fail; Run's error is always nil here.
-	_ = p.Run(len(wss)*len(strides), func(m machine.Machine, i int) error {
-		return kernel(m, i, s)
-	})
-	putSurface(p, key, s)
-	return s
-}
-
-// TransferSurface sweeps remote transfers over the grid — Figures 2,
-// 4, 5, 7, and 8. The stride applies to the remote side: the loads
-// for Fetch, the stores for Deposit; the local side is contiguous.
-func TransferSurface(p *sweep.Pool, src, dst int, mode machine.Mode, strides []int, wss []units.Bytes) (*surface.Surface, error) {
-	cal := p.Machine().Calibration()
-	key := TransferSurfaceKey(cal, src, dst, mode, strides, wss)
-	kernel := func(m machine.Machine, i int, s *surface.Surface) error {
-		wi, si := i/len(strides), i%len(strides)
-		cp := access.CopyPattern{
-			SrcBase: machine.LocalBase(src), DstBase: machine.LocalBase(dst),
-			WorkingSet: wss[wi], LoadStride: 1, StoreStride: 1,
-		}
-		if mode == machine.Deposit {
-			cp.StoreStride = strides[si]
-		} else {
-			cp.LoadStride = strides[si]
-		}
-		bw, err := Transfer(m, src, dst, cp, machine.Options{Mode: mode})
-		if err != nil {
-			return err
-		}
-		s.Set(wi, si, bw)
-		s.SetSource(wi, si, surface.Simulated)
-		return nil
-	}
-	if s, done := storedSurface(p, key, kernel); done {
-		return s, nil
-	}
-	title := "remote transfer bandwidth, " + mode.String()
-	s := surface.New(p.Machine().Name(), title, strides, wss)
-	s.CalHash = cal.Hash()
-	err := p.Run(len(wss)*len(strides), func(m machine.Machine, i int) error {
-		return kernel(m, i, s)
-	})
-	if err != nil {
-		return nil, err
-	}
-	putSurface(p, key, s)
-	return s, nil
-}
-
-// CopyCurve sweeps LocalCopy over strides at a fixed large working
-// set — Figures 9-11. stridedLoads selects which side is strided.
-func CopyCurve(p *sweep.Pool, idx int, ws units.Bytes, strides []int, stridedLoads bool) *surface.Curve {
-	// Clamp before keying: the sweep only ever sees the clamped
-	// working set, so two over-cap requests share one store entry.
-	if ws > transferCap {
-		ws = transferCap
-	}
-	cal := p.Machine().Calibration()
-	title := "local copy, contiguous loads/strided stores"
-	if stridedLoads {
-		title = "local copy, strided loads/contiguous stores"
-	}
-	key := CopyCurveKey(cal, idx, ws, strides, stridedLoads)
-	if c, ok := storedCurve(p, key); ok {
-		return c
-	}
-	c := &surface.Curve{Machine: p.Machine().Name(), Title: title,
-		CalHash: cal.Hash(),
-		Strides: append([]int(nil), strides...),
-		BW:      make([]units.BytesPerSec, len(strides))}
-	base := machine.LocalBase(idx)
-	// The copy kernel cannot fail; Run's error is always nil here.
-	_ = p.Run(len(strides), func(m machine.Machine, i int) error {
-		cp := access.CopyPattern{
-			SrcBase: base, DstBase: base + 1<<30,
-			WorkingSet: ws, LoadStride: 1, StoreStride: 1,
-		}
-		if stridedLoads {
-			cp.LoadStride = strides[i]
-		} else {
-			cp.StoreStride = strides[i]
-		}
-		c.BW[i] = LocalCopy(m, idx, cp)
-		return nil
-	})
-	putCurve(p, key, c)
-	return c
-}
-
-// TransferCurve sweeps remote transfers over strides at a fixed large
-// working set — Figures 12-14. stridedLoads selects whether the
-// source reads or the destination writes are strided.
-func TransferCurve(p *sweep.Pool, src, dst int, ws units.Bytes, strides []int, mode machine.Mode, stridedLoads bool, pipelined bool) (*surface.Curve, error) {
-	cal := p.Machine().Calibration()
-	title := "remote copy, " + mode.String()
-	if stridedLoads {
-		title += ", strided loads/contiguous stores"
-	} else {
-		title += ", contiguous loads/strided stores"
-	}
-	// TransferCurveKey clamps the working set to transferCap, matching
-	// the clamp Transfer applies to every measured point.
-	key := TransferCurveKey(cal, src, dst, ws, strides, mode, stridedLoads, pipelined)
-	if c, ok := storedCurve(p, key); ok {
-		return c, nil
-	}
-	c := &surface.Curve{Machine: p.Machine().Name(), Title: title,
-		CalHash: cal.Hash(),
-		Strides: append([]int(nil), strides...),
-		BW:      make([]units.BytesPerSec, len(strides))}
-	err := p.Run(len(strides), func(m machine.Machine, i int) error {
-		cp := access.CopyPattern{
-			SrcBase: machine.LocalBase(src), DstBase: machine.LocalBase(dst),
-			WorkingSet: ws, LoadStride: 1, StoreStride: 1,
-		}
-		if stridedLoads {
-			cp.LoadStride = strides[i]
-		} else {
-			cp.StoreStride = strides[i]
-		}
-		bw, err := Transfer(m, src, dst, cp, machine.Options{Mode: mode, Pipelined: pipelined})
-		if err != nil {
-			return err
-		}
-		c.BW[i] = bw
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	putCurve(p, key, c)
-	return c, nil
 }
 
 // prime walks up to primeWords of p with loads (primed-cache

@@ -55,7 +55,7 @@ func TestFillFromMemory(t *testing.T) {
 func TestCacheToCacheIntervention(t *testing.T) {
 	c, nodes := testSystem()
 	// Node 1 dirties a line; node 0's fill must be supplied c2c.
-	nodes[1].StoreWord(0x2000)
+	nodes[1].StoreRun(0x2000, 0, 1)
 	if !nodes[1].HoldsDirty(0x2000) {
 		t.Fatalf("store should dirty node 1's cache")
 	}
@@ -70,7 +70,7 @@ func TestCacheToCacheIntervention(t *testing.T) {
 
 func TestWriteInvalidatesOtherCaches(t *testing.T) {
 	c, nodes := testSystem()
-	nodes[1].LoadWord(0x3000)
+	nodes[1].LoadRun(0x3000, 0, 1)
 	if !nodes[1].Holds(0x3000) {
 		t.Fatalf("load should cache the line")
 	}
@@ -87,7 +87,7 @@ func TestC2CSustainedRate(t *testing.T) {
 	var done units.Time
 	for i := 0; i < 64; i++ {
 		a := access.Addr(0x10000 + i*64)
-		nodes[1].StoreWord(a) // line dirty at the producer
+		nodes[1].StoreRun(a, 0, 1) // line dirty at the producer
 		done = c.Fill(0, a, 64, done)
 	}
 	bw := units.BW(64*64, done).MBps()
@@ -117,8 +117,8 @@ func TestOthersDirty(t *testing.T) {
 	if c.OthersDirty(0) || c.OthersDirty(1) {
 		t.Fatal("a cold machine has dirt")
 	}
-	nodes[1].StoreWord(0x2000)
-	nodes[1].StoreWord(0x4000)
+	nodes[1].StoreRun(0x2000, 0, 1)
+	nodes[1].StoreRun(0x4000, 0, 1)
 	if !c.OthersDirty(0) || c.OthersDirty(1) {
 		t.Fatalf("node 1 dirty: OthersDirty(0) = %v, OthersDirty(1) = %v; want true, false",
 			c.OthersDirty(0), c.OthersDirty(1))

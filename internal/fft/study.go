@@ -297,7 +297,7 @@ func transposePullConcurrent(m *machine.SMP, tile access.TransposeTraffic, tileB
 				// next FFT phase).
 				dst := a.buf + access.Addr(a.off%int64(consumeBufWords))*8
 				a.off++
-				nd.CopyWord(la, dst)
+				nd.CopyRun(la, 0, dst, 0, 1)
 				active = true
 			}
 		}
@@ -374,7 +374,7 @@ func transposeDepositConcurrent(m machine.Machine, tile access.TransposeTraffic,
 					a.loads.Reset()
 					la, _, _ = a.loads.Next()
 				}
-				nd.CopyWord(la, sa)
+				nd.CopyRun(la, 0, sa, 0, 1)
 				active = true
 			}
 		}

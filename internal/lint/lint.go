@@ -93,30 +93,8 @@ type Analyzer struct {
 // All lists every analyzer in the suite, in reporting order.
 var All = []*Analyzer{Unitsafe, Cycleflow, Statereset, Sweepsafe, Determinism, Probeguard, Attrcover, Snapshotsafe, Locksafe, Sharedcapture, Atomicwrite}
 
-// aliases maps retired analyzer names to their successors, so old
-// //simlint:ignore directives and CLI flags keep working.
-var aliases = map[string]string{
-	"cycledrop": "cycleflow", // v1's intraprocedural check, subsumed by cycleflow
-}
-
-// Aliases returns the retired-name → successor mapping, for drivers
-// that keep deprecated flags alive.
-func Aliases() map[string]*Analyzer {
-	out := map[string]*Analyzer{}
-	for old, to := range aliases {
-		if a := ByName(to); a != nil {
-			out[old] = a
-		}
-	}
-	return out
-}
-
-// ByName returns the analyzer with the given (possibly deprecated)
-// name, or nil.
+// ByName returns the analyzer with the given name, or nil.
 func ByName(name string) *Analyzer {
-	if to, ok := aliases[name]; ok {
-		name = to
-	}
 	for _, a := range All {
 		if a.Name == name {
 			return a
@@ -306,9 +284,8 @@ func (ig ignoreSet) suppressed(d Diagnostic) bool {
 const ignorePrefix = "//simlint:ignore"
 
 // parseDirective validates the text of one //simlint:ignore comment
-// and returns the canonical analyzer name (retired names resolve to
-// their successor) and the reason. The error text is the diagnostic
-// message for malformed directives.
+// and returns the analyzer name and the reason. The error text is the
+// diagnostic message for malformed directives.
 func parseDirective(text string) (name, reason string, err error) {
 	rest := strings.TrimPrefix(text, ignorePrefix)
 	fields := strings.Fields(rest)
@@ -318,10 +295,6 @@ func parseDirective(text string) (name, reason string, err error) {
 	name = fields[0]
 	if name != "all" && ByName(name) == nil {
 		return "", "", fmt.Errorf("simlint:ignore names unknown analyzer %q", name)
-	}
-	// Retired analyzer names suppress their successor.
-	if a := ByName(name); a != nil {
-		name = a.Name
 	}
 	if len(fields) < 2 {
 		return "", "", fmt.Errorf("simlint:ignore %s needs a reason", name)

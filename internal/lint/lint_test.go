@@ -232,8 +232,8 @@ func TestIgnoreDirectiveSuppresses(t *testing.T) {
 }
 
 // TestIgnoreAllAndMultiLineDirectives covers the blanket "all"
-// wildcard, a directive above a multi-line expression, and the
-// retired cycledrop name suppressing its successor.
+// wildcard and directives above multi-line expressions and
+// statements.
 func TestIgnoreAllAndMultiLineDirectives(t *testing.T) {
 	pkg := loadFixture(t, "ignore_all")
 	diags := Run([]*Package{pkg}, All)
@@ -256,19 +256,9 @@ func TestIgnoreAllAndMultiLineDirectives(t *testing.T) {
 	}
 }
 
-// TestAnalyzerAliases: the retired cycledrop name resolves to
-// cycleflow everywhere a name is accepted.
-func TestAnalyzerAliases(t *testing.T) {
-	if a := ByName("cycledrop"); a == nil || a.Name != "cycleflow" {
-		t.Fatalf("ByName(cycledrop) = %v, want cycleflow", a)
-	}
-	if a := Aliases()["cycledrop"]; a == nil || a.Name != "cycleflow" {
-		t.Fatalf("Aliases()[cycledrop] = %v, want cycleflow", a)
-	}
-}
-
 // TestMalformedIgnoreDirectives: the driver reports directives that
-// name no analyzer, an unknown analyzer, or give no reason.
+// name no analyzer, an unknown analyzer (the retired cycledrop among
+// them), or give no reason.
 func TestMalformedIgnoreDirectives(t *testing.T) {
 	pkg := loadFixture(t, "ignore_bad")
 	diags := Run([]*Package{pkg}, []*Analyzer{Unitsafe})
@@ -276,6 +266,7 @@ func TestMalformedIgnoreDirectives(t *testing.T) {
 		"needs an analyzer name",
 		"unknown analyzer",
 		"needs a reason",
+		"unknown analyzer",
 	}
 	if len(diags) != len(wantSubstrs) {
 		t.Fatalf("want %d directive diagnostics, got %v", len(wantSubstrs), diags)

@@ -12,7 +12,7 @@ import (
 // this body write that captured variable?"; sharedcapture answers
 // "may this body share that captured *resource* at all?". Three rules,
 // applied inside every concurrent body — a `go func` literal, a
-// worker-pool Run kernel, and an http.HandlerFunc-shaped closure
+// worker-pool kernel, and an http.HandlerFunc-shaped closure
 // (two parameters whose types read ResponseWriter and *Request —
 // each request runs on its own goroutine, so a handler body is a
 // concurrent body by construction):
@@ -53,7 +53,7 @@ func runSharedcapture(p *Pass) {
 					checkConcurrentBody(p, fn, "goroutine", false)
 				}
 			case *ast.CallExpr:
-				if isPoolRun(p, n) {
+				if isPoolMethod(p, n) {
 					for _, arg := range n.Args {
 						if fn, ok := arg.(*ast.FuncLit); ok {
 							checkConcurrentBody(p, fn, "worker-pool kernel", false)

@@ -11,8 +11,9 @@ import (
 // Sweepsafe generalizes the PR 2 parallel-sweep contract to every
 // concurrent body in the simulator: a worker owns exactly the state
 // the caller handed it. Inside a `go func` literal or a kernel passed
-// to a worker pool's Run method, writes to variables captured from the
-// spawning scope are flagged unless ownership is explicit:
+// to any method of a worker pool (Run, RunCaptured, ...), writes to
+// variables captured from the spawning scope are flagged unless
+// ownership is explicit:
 //
 //   - index-based ownership — the write targets an element whose index
 //     is derived from a worker-local variable (errs[i] = ... where i
@@ -46,7 +47,7 @@ func runSweepsafe(p *Pass) {
 					checkWorkerBody(p, fn, "goroutine")
 				}
 			case *ast.CallExpr:
-				if isPoolRun(p, n) {
+				if isPoolMethod(p, n) {
 					for _, arg := range n.Args {
 						if fn, ok := arg.(*ast.FuncLit); ok {
 							checkWorkerBody(p, fn, "worker-pool kernel")
@@ -59,16 +60,17 @@ func runSweepsafe(p *Pass) {
 	}
 }
 
-// isPoolRun reports whether call invokes a worker pool's Run method —
-// a method named Run on a named type whose name ends in "Pool"
-// (internal/sweep.Pool and fixtures that mirror it).
-func isPoolRun(p *Pass, call *ast.CallExpr) bool {
+// isPoolMethod reports whether call invokes a method of a worker pool
+// — a named type whose name ends in "Pool" (internal/sweep.Pool and
+// fixtures that mirror it). Every function literal such a call takes
+// is treated as a kernel, whatever the method's name.
+func isPoolMethod(p *Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Run" {
+	if !ok {
 		return false
 	}
 	s, ok := p.Info.Selections[sel]
-	if !ok {
+	if !ok || s.Kind() != types.MethodVal {
 		return false
 	}
 	return strings.HasSuffix(typeKey(s.Recv()), "Pool")

@@ -1,6 +1,5 @@
 // Package ignore_all exercises directive handling: the "all"
-// wildcard, a directive above a multi-line expression, and a retired
-// analyzer name suppressing its successor. lint_test.go asserts the
+// wildcard and directives above multi-line expressions and statements. lint_test.go asserts the
 // package is clean with directives and dirty without them.
 package ignore_all
 
@@ -24,9 +23,9 @@ func multiExpr() {
 	)
 }
 
-// aliased: the retired cycledrop name still suppresses cycleflow.
-func aliased() {
-	//simlint:ignore cycledrop retired names must keep suppressing their successor
+// named: a directive naming the analyzer suppresses it on the next line.
+func named() {
+	//simlint:ignore cycleflow fixture: the dropped cost is the point
 	latency()
 }
 

@@ -10,3 +10,6 @@ func badName() {}
 
 //simlint:ignore unitsafe
 func noReason() {}
+
+//simlint:ignore cycledrop the retired name is no longer an analyzer
+func retiredName() {}

@@ -63,3 +63,30 @@ func poolShared(p *Pool, points []int) int {
 	})
 	return sum
 }
+
+// RunAt mirrors a subset-run method: any kernel a pool method takes is
+// a worker-pool kernel, whatever the method is called.
+func (p *Pool) RunAt(idx []int, kernel func(w int) error) error { return kernel(idx[0]) }
+
+// RunCaptured mirrors a run method that also returns per-point state.
+func (p *Pool) RunCaptured(n int, kernel func(w int) error) ([]int, error) {
+	return make([]int, n), kernel(0)
+}
+
+func poolRunAtAppend(p *Pool, idx, points []int) []int {
+	var results []int
+	_ = p.RunAt(idx, func(w int) error {
+		results = append(results, points[w]) // want:sweepsafe append to "results" captured from the spawning goroutine
+		return nil
+	})
+	return results
+}
+
+func poolRunCapturedShared(p *Pool, points []int) int {
+	sum := 0
+	_, _ = p.RunCaptured(len(points), func(w int) error {
+		sum += points[w] // want:sweepsafe worker-pool kernel writes captured variable "sum"
+		return nil
+	})
+	return sum
+}

@@ -49,3 +49,16 @@ func computedLocalIndex(p *Pool, results []int, base int) {
 		return nil
 	})
 }
+
+// RunCaptured mirrors a run method that also returns per-point state.
+func (p *Pool) RunCaptured(n int, kernel func(w int) error) ([]int, error) {
+	return make([]int, n), kernel(0)
+}
+
+// capturedByIndex: a RunCaptured kernel writes only its own slot.
+func capturedByIndex(p *Pool, results []int) {
+	_, _ = p.RunCaptured(len(results), func(w int) error {
+		results[w] = w
+		return nil
+	})
+}

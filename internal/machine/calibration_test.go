@@ -36,7 +36,7 @@ func loadPoint(m Machine, ws units.Bytes, stride int) units.BytesPerSec {
 		if !ok {
 			break
 		}
-		n.LoadWord(a)
+		n.LoadRun(a, 0, 1)
 	}
 	m.ResetTiming()
 	c.Reset()
@@ -49,7 +49,7 @@ func loadPoint(m Machine, ws units.Bytes, stride int) units.BytesPerSec {
 		if seg {
 			n.SegmentStart()
 		}
-		n.LoadWord(a)
+		n.LoadRun(a, 0, 1)
 		words++
 	}
 	return units.BW(units.Bytes(words)*units.Word, n.Now())
@@ -74,7 +74,7 @@ func copyPoint(m Machine, loadStride, storeStride int) units.BytesPerSec {
 		if !lok || !sok {
 			break
 		}
-		n.CopyWord(la, sa)
+		n.CopyRun(la, 0, sa, 0, 1)
 	}
 	n.FlushWrites()
 	m.ResetTiming()
@@ -87,7 +87,7 @@ func copyPoint(m Machine, loadStride, storeStride int) units.BytesPerSec {
 		if !lok || !sok {
 			break
 		}
-		n.CopyWord(la, sa)
+		n.CopyRun(la, 0, sa, 0, 1)
 		words++
 	}
 	n.FlushWrites()

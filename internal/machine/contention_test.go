@@ -31,7 +31,7 @@ func measureConcurrentLoads(m *SMP, active int, ws units.Bytes, stride int) unit
 				if !ok {
 					break
 				}
-				m.Node(r).LoadWord(a)
+				m.Node(r).LoadRun(a, 0, 1)
 				exhausted = false
 			}
 		}
@@ -59,7 +59,7 @@ func measureConcurrentLoads(m *SMP, active int, ws units.Bytes, stride int) unit
 				if seg {
 					nd.SegmentStart()
 				}
-				nd.LoadWord(a)
+				nd.LoadRun(a, 0, 1)
 				if r == 0 {
 					words++
 				}
@@ -126,11 +126,11 @@ func TestT3DLocalAccessesUnaffectedByOtherNodes(t *testing.T) {
 			if !ok {
 				break
 			}
-			m.Node(0).LoadWord(a)
+			m.Node(0).LoadRun(a, 0, 1)
 			words++
 			for r, c := range others {
 				if oa, _, ok := c.Next(); ok {
-					m.Node(r + 1).LoadWord(oa)
+					m.Node(r+1).LoadRun(oa, 0, 1)
 				}
 			}
 		}

@@ -23,7 +23,7 @@ func remoteLoadTime(m Machine, words int64) units.Time {
 	n := m.Node(0)
 	base := LocalBase(1)
 	for i := int64(0); i < words; i++ {
-		n.LoadWord(base + access.Addr(i*int64(units.Word)))
+		n.LoadRun(base+access.Addr(i*int64(units.Word)), 0, 1)
 	}
 	return n.Now()
 }
@@ -41,7 +41,7 @@ func stridedLoadTime(m Machine, ws units.Bytes, stride int) units.Time {
 		if !ok {
 			break
 		}
-		n.LoadWord(a)
+		n.LoadRun(a, 0, 1)
 	}
 	m.ResetTiming()
 	c.Reset()
@@ -53,7 +53,7 @@ func stridedLoadTime(m Machine, ws units.Bytes, stride int) units.Time {
 		if seg {
 			n.SegmentStart()
 		}
-		n.LoadWord(a)
+		n.LoadRun(a, 0, 1)
 	}
 	return n.Now()
 }

@@ -28,9 +28,9 @@ func TestColdResetIdentical(t *testing.T) {
 				n.SegmentStart()
 			}
 			if i%3 == 0 {
-				n.StoreWord(a)
+				n.StoreRun(a, 0, 1)
 			} else {
-				n.LoadWord(a)
+				n.LoadRun(a, 0, 1)
 			}
 			i++
 		})

@@ -5,21 +5,6 @@ import (
 	"repro/internal/units"
 )
 
-// LoadWord performs one element of a load-sum loop at address a,
-// advancing the node's clock by the issue slot plus any exposed
-// memory stall. The loaded value is consumed (summed), so latency
-// beyond the unrolling window stalls the pipeline.
-func (n *Node) LoadWord(a access.Addr) {
-	now := n.clock.Now()
-	slot := n.cfg.CPU.LoadSlot()
-	ready := n.resolveLoad(a, now)
-	stall := n.window.Stall(now, ready, slot)
-	n.loads.Inc()
-	n.issueTime.Add(slot)
-	n.loadStall.Add(stall)
-	n.clock.Advance(slot + stall)
-}
-
 // LoadReady resolves a load issued at time now and returns when the
 // data is available, without touching the node clock. Remote engines
 // and planners use it.

@@ -6,13 +6,14 @@
 // and fetches, E-register transfers) are layered on top of the
 // engine-side entry points by internal/machine.
 //
-// The timing discipline: a benchmark loop calls LoadWord / StoreWord
-// / CopyWord for each element in traversal order. Each call advances
-// the node's clock by the CPU issue slot plus any stall that the
-// memory system exposes beyond the compiled loop's latency-hiding
-// window. Plateaus emerge from pipelined resource occupancies; the
-// stride and working-set structure of the paper's figures emerges
-// from the genuine cache tag state and bank geometry.
+// The timing discipline: a benchmark loop calls LoadRun / StoreRun /
+// CopyRun over its elements in traversal order (a single element is a
+// count-1 run). Each element advances the node's clock by the CPU
+// issue slot plus any stall that the memory system exposes beyond the
+// compiled loop's latency-hiding window. Plateaus emerge from
+// pipelined resource occupancies; the stride and working-set
+// structure of the paper's figures emerges from the genuine cache tag
+// state and bank geometry.
 package node
 
 import (

@@ -40,13 +40,13 @@ func testConfig() Config {
 
 func measureLoad(n *Node, ws units.Bytes, stride int) units.BytesPerSec {
 	p := access.Pattern{WorkingSet: ws, Stride: stride}
-	p.Walk(func(a access.Addr, _ bool) { n.LoadWord(a) }) // prime
+	p.Walk(func(a access.Addr, _ bool) { n.LoadRun(a, 0, 1) }) // prime
 	n.ResetTiming()
 	p.Walk(func(a access.Addr, seg bool) {
 		if seg {
 			n.SegmentStart()
 		}
-		n.LoadWord(a)
+		n.LoadRun(a, 0, 1)
 	})
 	return units.BW(ws, n.Now())
 }
@@ -123,7 +123,7 @@ func TestSegmentOverheadBitesSmallWS(t *testing.T) {
 func TestStoreContiguousCoalesces(t *testing.T) {
 	n := New(0, testConfig())
 	p := access.Pattern{WorkingSet: 64 * units.KB, Stride: 1}
-	p.Walk(func(a access.Addr, _ bool) { n.StoreWord(a) })
+	p.Walk(func(a access.Addr, _ bool) { n.StoreRun(a, 0, 1) })
 	n.FlushWrites()
 	st := n.Stats()
 	if st.Stores != p.Words() {
@@ -142,7 +142,7 @@ func TestStridedStoresSlower(t *testing.T) {
 	run := func(stride int) units.BytesPerSec {
 		n := New(0, testConfig())
 		p := access.Pattern{WorkingSet: 64 * units.KB, Stride: stride}
-		p.Walk(func(a access.Addr, _ bool) { n.StoreWord(a) })
+		p.Walk(func(a access.Addr, _ bool) { n.StoreRun(a, 0, 1) })
 		n.FlushWrites()
 		return units.BW(64*units.KB, n.Now())
 	}
@@ -155,7 +155,7 @@ func TestCopyWordMovesDataBothWays(t *testing.T) {
 	n := New(0, testConfig())
 	cp := access.CopyPattern{SrcBase: 0, DstBase: 1 << 22,
 		WorkingSet: 32 * units.KB, LoadStride: 1, StoreStride: 1}
-	cp.Walk(func(l, s access.Addr, _ bool) { n.CopyWord(l, s) })
+	cp.Walk(func(l, s access.Addr, _ bool) { n.CopyRun(l, 0, s, 0, 1) })
 	n.FlushWrites()
 	st := n.Stats()
 	if st.Loads != cp.Words() || st.Stores != cp.Words() {
@@ -165,7 +165,7 @@ func TestCopyWordMovesDataBothWays(t *testing.T) {
 	tCopy := n.Now()
 	n2 := New(0, testConfig())
 	p := access.Pattern{WorkingSet: 32 * units.KB, Stride: 1}
-	p.Walk(func(a access.Addr, _ bool) { n2.LoadWord(a) })
+	p.Walk(func(a access.Addr, _ bool) { n2.LoadRun(a, 0, 1) })
 	if tCopy <= n2.Now() {
 		t.Errorf("copy (%v) should take longer than loads alone (%v)", tCopy, n2.Now())
 	}
@@ -173,7 +173,7 @@ func TestCopyWordMovesDataBothWays(t *testing.T) {
 
 func TestEngineWriteInvalidatesCaches(t *testing.T) {
 	n := New(0, testConfig())
-	n.LoadWord(0x100) // cache the line
+	n.LoadRun(0x100, 0, 1) // cache the line
 	if !n.Holds(0x100) {
 		t.Fatal("line should be cached")
 	}
@@ -209,7 +209,7 @@ func TestEngineReadChargesDRAM(t *testing.T) {
 func TestResetTimingKeepsCaches(t *testing.T) {
 	n := New(0, testConfig())
 	p := access.Pattern{WorkingSet: 4 * units.KB, Stride: 1}
-	p.Walk(func(a access.Addr, _ bool) { n.LoadWord(a) })
+	p.Walk(func(a access.Addr, _ bool) { n.LoadRun(a, 0, 1) })
 	n.ResetTiming()
 	if n.Now() != 0 {
 		t.Errorf("clock not reset")
@@ -224,7 +224,7 @@ func TestResetTimingKeepsCaches(t *testing.T) {
 
 func TestInvalidateCaches(t *testing.T) {
 	n := New(0, testConfig())
-	n.LoadWord(0)
+	n.LoadRun(0, 0, 1)
 	n.InvalidateCaches()
 	if n.Holds(0) {
 		t.Errorf("InvalidateCaches left lines behind")
@@ -236,7 +236,7 @@ func TestHoldsDirty(t *testing.T) {
 	cfg.Levels[0].Cache.Write = cache.WriteBack
 	cfg.Levels[0].Cache.Alloc = cache.ReadWriteAllocate
 	n := New(0, cfg)
-	n.StoreWord(0x40)
+	n.StoreRun(0x40, 0, 1)
 	if !n.HoldsDirty(0x40) {
 		t.Errorf("write-back store should leave a dirty line")
 	}
@@ -267,7 +267,7 @@ func TestBackendInterceptsMemoryTraffic(t *testing.T) {
 	fb := &fakeBackend{}
 	n.SetBackend(fb)
 	p := access.Pattern{WorkingSet: 32 * units.KB, Stride: 8}
-	p.Walk(func(a access.Addr, _ bool) { n.LoadWord(a) })
+	p.Walk(func(a access.Addr, _ bool) { n.LoadRun(a, 0, 1) })
 	if fb.fills == 0 {
 		t.Fatalf("backend saw no fills")
 	}
@@ -277,7 +277,7 @@ func TestBackendInterceptsMemoryTraffic(t *testing.T) {
 	if n.DRAMStats().Accesses != 0 {
 		t.Errorf("private DRAM must be bypassed when a backend is attached")
 	}
-	n.StoreWord(1 << 24)
+	n.StoreRun(1<<24, 0, 1)
 	n.FlushWrites()
 	if fb.writes == 0 {
 		t.Errorf("backend saw no writes")

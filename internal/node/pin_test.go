@@ -47,7 +47,7 @@ func pinScript(n *Node) string {
 	})
 	step("load-words", func() {
 		for i := int64(0); i < 300; i++ {
-			n.LoadWord(access.Addr(0x200000 + i*40))
+			n.LoadRun(access.Addr(0x200000+i*40), 0, 1)
 		}
 	})
 	step("load-ready", func() {
@@ -57,14 +57,14 @@ func pinScript(n *Node) string {
 	step("store-run-strided", func() { n.StoreRun(0x30000, 96, 300) })
 	step("store-words", func() {
 		for i := int64(0); i < 300; i++ {
-			n.StoreWord(access.Addr(0x400000 + i*136))
+			n.StoreRun(access.Addr(0x400000+i*136), 0, 1)
 		}
 	})
 	step("copy-run", func() { n.CopyRun(0x500000, 8, 0x600000, 8, 1500) })
 	step("copy-run-strided", func() { n.CopyRun(0x700000, 40, 0x800000, 104, 400) })
 	step("copy-words", func() {
 		for i := int64(0); i < 300; i++ {
-			n.CopyWord(access.Addr(0x900000+i*8), access.Addr(0xa00000+i*200))
+			n.CopyRun(access.Addr(0x900000+i*8), 0, access.Addr(0xa00000+i*200), 0, 1)
 		}
 	})
 	step("engine", func() {

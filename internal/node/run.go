@@ -5,17 +5,16 @@ import (
 	"repro/internal/units"
 )
 
-// This file holds the batched forms of the per-word benchmark entry
-// points. A run is count accesses from start with a fixed byte step —
-// exactly what access.Cursor.Run produces. The batched loops hoist
-// the per-iteration config lookups (issue slot, hide window) that
-// LoadWord/StoreWord/CopyWord re-derive per element; the memory
-// system is still consulted word by word and the floating-point
-// operation order is unchanged, so every timing result is
-// bit-identical to the per-word path.
+// This file holds the benchmark entry points. A run is count accesses
+// from start with a fixed byte step — exactly what access.Cursor.Run
+// produces; a single access is a count-1 run. The loops look up the
+// issue slot and hide window once per run; the memory system is still
+// consulted word by word, so a run times exactly like the same
+// accesses issued one count-1 run at a time.
 
-// LoadRun performs count elements of a load-sum loop, equivalent to
-// calling LoadWord at start, start+step, ... in order.
+// LoadRun performs count elements of a load-sum loop at start,
+// start+step, ... in order. Each loaded value is consumed (summed), so
+// latency beyond the unrolling window stalls the pipeline.
 func (n *Node) LoadRun(start access.Addr, step, count int64) {
 	slot := n.cfg.CPU.LoadSlot()
 	hide := n.window.Hide(slot)
@@ -32,8 +31,9 @@ func (n *Node) LoadRun(start access.Addr, step, count int64) {
 	}
 }
 
-// StoreRun performs count elements of a store loop, equivalent to
-// calling StoreWord at start, start+step, ... in order.
+// StoreRun performs count elements of a store loop at start,
+// start+step, ... in order. Stores retire into buffers; stalls arise
+// only from backpressure.
 func (n *Node) StoreRun(start access.Addr, step, count int64) {
 	slot := n.cfg.CPU.StoreSlot()
 	a := start
@@ -88,9 +88,9 @@ outer:
 	return words
 }
 
-// CopyRun performs count elements of a load/store copy loop,
-// equivalent to calling CopyWord for each (src+i*srcStep,
-// dst+i*dstStep) pair in order.
+// CopyRun performs count elements of a load/store copy loop: for each
+// (src+i*srcStep, dst+i*dstStep) pair in order, load the word at the
+// source and store it at the destination.
 func (n *Node) CopyRun(src access.Addr, srcStep int64, dst access.Addr, dstStep int64, count int64) {
 	slot := n.cfg.CPU.CopySlot()
 	hide := n.window.Hide(slot)

@@ -6,35 +6,6 @@ import (
 	"repro/internal/units"
 )
 
-// StoreWord performs one element of a store loop at address a,
-// advancing the clock by the issue slot plus any exposed stall
-// (stores retire into buffers; stalls arise only from backpressure).
-func (n *Node) StoreWord(a access.Addr) {
-	now := n.clock.Now()
-	slot := n.cfg.CPU.StoreSlot()
-	stall := n.resolveStore(a, now)
-	n.stores.Inc()
-	n.issueTime.Add(slot)
-	n.storeStall.Add(stall)
-	n.clock.Advance(slot + stall)
-}
-
-// CopyWord performs one element of a load/store copy loop: load the
-// word at src, store it at dst.
-func (n *Node) CopyWord(src, dst access.Addr) {
-	now := n.clock.Now()
-	slot := n.cfg.CPU.CopySlot()
-	ready := n.resolveLoad(src, now)
-	loadStall := n.window.Stall(now, ready, slot)
-	storeStall := n.resolveStore(dst, now+loadStall)
-	n.loads.Inc()
-	n.stores.Inc()
-	n.issueTime.Add(slot)
-	n.loadStall.Add(loadStall)
-	n.storeStall.Add(storeStall)
-	n.clock.Advance(slot + loadStall + storeStall)
-}
-
 // PrimeStoreRun leaves the machine's functional state — cache tags,
 // dirty bits, LRU order, each cache's clock, the write-combine run
 // state and the write buffer's open entry — exactly as StoreRun(start,

@@ -306,35 +306,27 @@ func Figures15to17(ms map[string]machine.Machine, cs map[string]*core.Characteri
 }
 
 // LoadFigure regenerates one of the load surfaces (Figures 1, 3, 6).
-func LoadFigure(p *sweep.Pool, maxWS units.Bytes) *surface.Surface {
-	return bench.LoadSurface(p, 0, surface.PaperStrides, surface.WorkingSets(units.KB/2, maxWS))
-}
-
-// LoadFigurePruned is LoadFigure with the analytic fast path filling
-// the confident cells; returns how many cells were simulated and the
-// grid size alongside the surface.
-func LoadFigurePruned(p *sweep.Pool, maxWS units.Bytes) (*surface.Surface, int, int) {
-	strides := surface.PaperStrides
-	wss := surface.WorkingSets(units.KB/2, maxWS)
+// fast fills the analytically confident cells from the model and
+// returns how many cells were simulated and the grid size alongside
+// the surface; a full sweep returns zero for both.
+func LoadFigure(p *sweep.Pool, maxWS units.Bytes, fast bool) (*surface.Surface, int, int) {
+	strides, wss := surface.PaperStrides, surface.WorkingSets(units.KB/2, maxWS)
+	if !fast {
+		return bench.LoadSurface(p, 0, strides, wss), 0, 0
+	}
 	s, simulated := bench.LoadSurfacePruned(p, 0, strides, wss)
 	return s, simulated, len(strides) * len(wss)
 }
 
 // TransferFigure regenerates one of the remote transfer surfaces
-// (Figures 2, 4, 5, 7, 8).
-func TransferFigure(p *sweep.Pool, mode machine.Mode, maxWS units.Bytes) (*surface.Surface, error) {
+// (Figures 2, 4, 5, 7, 8), honouring fast as LoadFigure does.
+func TransferFigure(p *sweep.Pool, mode machine.Mode, maxWS units.Bytes, fast bool) (*surface.Surface, int, int, error) {
 	partner := machine.PreferredPartner(p.Machine())
-	return bench.TransferSurface(p, 0, partner, mode, surface.PaperStrides,
-		surface.WorkingSets(units.KB/2, maxWS))
-}
-
-// TransferFigurePruned is TransferFigure with the analytic fast path
-// filling the confident cells; returns how many cells were simulated
-// and the grid size alongside the surface.
-func TransferFigurePruned(p *sweep.Pool, mode machine.Mode, maxWS units.Bytes) (*surface.Surface, int, int, error) {
-	partner := machine.PreferredPartner(p.Machine())
-	strides := surface.PaperStrides
-	wss := surface.WorkingSets(units.KB/2, maxWS)
+	strides, wss := surface.PaperStrides, surface.WorkingSets(units.KB/2, maxWS)
+	if !fast {
+		s, err := bench.TransferSurface(p, 0, partner, mode, strides, wss)
+		return s, 0, 0, err
+	}
 	s, simulated, err := bench.TransferSurfacePruned(p, 0, partner, mode, strides, wss)
 	if err != nil {
 		return nil, 0, 0, err

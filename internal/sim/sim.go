@@ -58,21 +58,14 @@ type Window struct {
 	Depth float64
 }
 
-// Stall returns the CPU stall charged when data issued at issueTime
-// becomes ready at readyTime, given the per-slot issue cost. Latency
-// up to Depth*slot is hidden; the remainder stalls the pipeline.
-func (w Window) Stall(issueTime, readyTime units.Time, slot units.Time) units.Time {
-	return w.StallHidden(issueTime, readyTime, w.Hide(slot))
-}
-
 // Hide returns the latency the window hides for a given issue slot:
-// Depth*slot. Batched loops compute it once per run and pass it to
-// StallHidden instead of re-deriving it per element.
+// Depth*slot. Loops compute it once per run and pass it to
+// StallHidden.
 func (w Window) Hide(slot units.Time) units.Time { return units.Time(w.Depth) * slot }
 
-// StallHidden is Stall with the Depth*slot term precomputed by Hide.
-// The operation order matches Stall exactly (multiply, then add), so
-// batched and per-word paths produce bit-identical times.
+// StallHidden returns the CPU stall charged when data issued at
+// issueTime becomes ready at readyTime, given the latency hide (from
+// Hide) the window covers. The remainder stalls the pipeline.
 func (w Window) StallHidden(issueTime, readyTime, hide units.Time) units.Time {
 	hidden := issueTime + hide
 	if readyTime <= hidden {

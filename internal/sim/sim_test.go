@@ -77,18 +77,18 @@ func TestResourceMonotonic(t *testing.T) {
 func TestWindowHidesShortLatency(t *testing.T) {
 	w := Window{Depth: 8}
 	// Latency of 20ns, 8 slots of 3ns = 24ns hidden: no stall.
-	if s := w.Stall(0, 20, 3); s != 0 {
+	if s := w.StallHidden(0, 20, w.Hide(3)); s != 0 {
 		t.Errorf("short latency should be hidden, stall=%v", s)
 	}
 	// Latency of 40ns: 16ns exposed.
-	if s := w.Stall(0, 40, 3); s != 16 {
+	if s := w.StallHidden(0, 40, w.Hide(3)); s != 16 {
 		t.Errorf("stall = %v, want 16", s)
 	}
 }
 
 func TestWindowZeroDepth(t *testing.T) {
 	w := Window{Depth: 0}
-	if s := w.Stall(10, 25, 3); s != 15 {
+	if s := w.StallHidden(10, 25, w.Hide(3)); s != 15 {
 		t.Errorf("zero-depth window exposes full latency: %v, want 15", s)
 	}
 }
@@ -96,7 +96,7 @@ func TestWindowZeroDepth(t *testing.T) {
 func TestWindowNeverNegative(t *testing.T) {
 	f := func(issue, ready uint16, slot uint8) bool {
 		w := Window{Depth: 8}
-		return w.Stall(units.Time(issue), units.Time(ready), units.Time(slot)) >= 0
+		return w.StallHidden(units.Time(issue), units.Time(ready), w.Hide(units.Time(slot))) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -87,16 +87,36 @@ func TestStatsUnreadableArtifactQuarantinesAndMisses(t *testing.T) {
 	}
 }
 
+// TestStatsUndecodableSurfaceQuarantinesAndMisses covers garbage and
+// a version-1 snapshot (the layout before the Source plane, which no
+// longer decodes).
 func TestStatsUndecodableSurfaceQuarantinesAndMisses(t *testing.T) {
-	dir := t.TempDir()
-	k, _, _ := seedSurface(t, dir)
-	st := plantSurface(t, dir, k, []byte("not a surface snapshot"))
-	if _, ok := st.GetSurface(k); ok {
-		t.Fatal("GetSurface served undecodable bytes")
-	}
-	stats := st.Stats()
-	if stats.Misses != 1 || stats.Quarantined != 1 || stats.StaleDrops != 0 {
-		t.Errorf("undecodable accounting: %+v, want one miss and one quarantine", stats)
+	for _, tc := range []struct {
+		name string
+		raw  func(s *surface.Surface) []byte
+	}{
+		{"garbage", func(*surface.Surface) []byte { return []byte("not a surface snapshot") }},
+		{"v1", func(s *surface.Surface) []byte {
+			b, err := s.MarshalBinary()
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
+			b[4] = 1
+			return b[:len(b)-len(s.Strides)*len(s.WorkingSets)]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			k, s, _ := seedSurface(t, dir)
+			st := plantSurface(t, dir, k, tc.raw(s))
+			if _, ok := st.GetSurface(k); ok {
+				t.Fatal("GetSurface served undecodable bytes")
+			}
+			stats := st.Stats()
+			if stats.Misses != 1 || stats.Quarantined != 1 || stats.StaleDrops != 0 {
+				t.Errorf("undecodable accounting: %+v, want one miss and one quarantine", stats)
+			}
+		})
 	}
 }
 

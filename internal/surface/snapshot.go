@@ -19,24 +19,23 @@ import (
 //	magic            4 bytes  "SURF"
 //	version          uint16   snapshotVersion
 //	calibration hash uint64   CalHash — the machine calibration the
-//	                          grid was computed from (v1 wrote zero)
+//	                          grid was computed from
 //	Machine          uint32 length + bytes
 //	Title            uint32 length + bytes
 //	Strides          uint32 count + int64 each
 //	WorkingSets      uint32 count + int64 each
 //	BW               float64 bits, row-major, len(WorkingSets) rows
 //	                 of len(Strides) columns (dimensions implied)
-//	Source           v2 only: one byte per cell, row-major, same
-//	                 dimensions as BW (0 simulated, 1 analytic)
+//	Source           one byte per cell, row-major, same dimensions
+//	                 as BW (0 simulated, 1 analytic)
 //
-// Version history: v1 (PR 6) had no Source plane and always wrote a
-// zero calibration hash. v1 snapshots still decode: their cells come
-// back tagged Simulated with CalHash zero.
+// Version 1 had no Source plane and wrote a zero calibration hash; it
+// no longer decodes, so a store quarantines a v1 artifact and
+// recomputes it.
 
 const (
-	snapshotMagic      = "SURF"
-	snapshotVersion    = 2
-	snapshotVersionPre = 1
+	snapshotMagic   = "SURF"
+	snapshotVersion = 2
 )
 
 // maxSnapshotElems bounds decoded axis lengths so a corrupt length
@@ -110,7 +109,7 @@ func (s *Surface) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("surface snapshot: bad magic")
 	}
 	v := r.u16()
-	if r.err == nil && v != snapshotVersion && v != snapshotVersionPre {
+	if r.err == nil && v != snapshotVersion {
 		return fmt.Errorf("surface snapshot: unsupported version %d (want %d)", v, snapshotVersion)
 	}
 	calHash := r.u64()
@@ -131,13 +130,9 @@ func (s *Surface) UnmarshalBinary(data []byte) error {
 			bw[i][j] = units.BytesPerSec(math.Float64frombits(r.u64()))
 		}
 	}
-	// v1 snapshots carry no Source plane: cells decode as Simulated.
 	src := make([][]Source, len(wss))
 	for i := range src {
 		src[i] = make([]Source, len(strides))
-		if v < 2 {
-			continue
-		}
 		for j := range src[i] {
 			tag := Source(r.u8())
 			if r.err == nil && tag > Analytic {

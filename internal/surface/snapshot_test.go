@@ -112,54 +112,6 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1Upgrade decodes the committed v1 fixture (written by
-// PR 6, before the Source plane and the populated calibration hash):
-// the cells must come back tagged Simulated with a zero CalHash, and
-// re-encoding must produce a valid v2 snapshot with the same grid.
-func TestSnapshotV1Upgrade(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "surface_v1.bin"))
-	if err != nil {
-		t.Fatalf("reading the v1 fixture: %v", err)
-	}
-	var s Surface
-	if err := s.UnmarshalBinary(data); err != nil {
-		t.Fatalf("decoding the v1 fixture: %v", err)
-	}
-	if s.Machine != "t3e" || s.Title != "local load" {
-		t.Fatalf("v1 fixture decoded to %q / %q", s.Machine, s.Title)
-	}
-	if s.CalHash != 0 {
-		t.Fatalf("v1 snapshot decoded with CalHash 0x%x, want 0", s.CalHash)
-	}
-	for wi := range s.WorkingSets {
-		for si := range s.Strides {
-			if s.SourceAt(wi, si) != Simulated {
-				t.Fatalf("v1 cell (%d,%d) decoded as %v, want simulated", wi, si, s.SourceAt(wi, si))
-			}
-			want := float64(100+10*wi+si) + 0.25
-			if float64(s.BW[wi][si]) != want {
-				t.Fatalf("v1 cell (%d,%d) = %v, want %v", wi, si, s.BW[wi][si], want)
-			}
-		}
-	}
-	// Upgrade: re-encoding writes the current version, and the round
-	// trip preserves the grid.
-	up, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatalf("re-encoding the upgraded snapshot: %v", err)
-	}
-	if up[4] != snapshotVersion {
-		t.Fatalf("upgraded snapshot has version %d, want %d", up[4], snapshotVersion)
-	}
-	var s2 Surface
-	if err := s2.UnmarshalBinary(up); err != nil {
-		t.Fatalf("decoding the upgraded snapshot: %v", err)
-	}
-	if !reflect.DeepEqual(s, s2) {
-		t.Fatalf("v1 -> v2 upgrade round trip mismatch:\nv1 %+v\nv2 %+v", s, s2)
-	}
-}
-
 // TestSnapshotTruncated feeds every proper prefix of a valid
 // snapshot to the decoder; all must fail, none may panic, and the
 // receiver must stay unchanged.
@@ -192,6 +144,10 @@ func TestSnapshotCorrupt(t *testing.T) {
 	cases := map[string][]byte{
 		"bad magic":      corrupt(func(b []byte) { b[0] = 'X' }),
 		"future version": corrupt(func(b []byte) { b[4] = 0xFF }),
+		"v1":             corrupt(func(b []byte) { b[4] = 1 }),
+		// A genuine v1 layout: version 1 and no Source plane.
+		"v1 layout": corrupt(func(b []byte) { b[4] = 1 })[:len(valid)-
+			len(testSurface().Strides)*len(testSurface().WorkingSets)],
 		"trailing bytes": append(append([]byte(nil), valid...), 0xAA),
 		"huge axis count": corrupt(func(b []byte) {
 			// The stride count sits after magic+version+hash+two strings.

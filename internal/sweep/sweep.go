@@ -144,37 +144,6 @@ func (p *Pool) Run(n int, kernel func(m machine.Machine, i int) error) error {
 	return nil
 }
 
-// RunPruned executes kernel only for the point indices where skip
-// returns false — the model-guided adaptive sweep: cells the analytic
-// model predicts confidently are skipped (the caller fills them from
-// the model), cells near regime transitions or known-divergent
-// mechanisms are simulated. Simulated points run under the same
-// determinism contract as Run (ColdReset per point, results by
-// index), so the cells a pruned sweep does simulate are byte-identical
-// to a full sweep's at any worker count. Returns how many points were
-// simulated; only those count toward Points().
-func (p *Pool) RunPruned(n int, skip func(i int) bool, kernel func(m machine.Machine, i int) error) (int, error) {
-	idx := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if !skip(i) {
-			idx = append(idx, i)
-		}
-	}
-	return len(idx), p.RunAt(idx, kernel)
-}
-
-// RunAt executes kernel for exactly the given point indices, in the
-// given order on a single worker and from the last one back on a wider
-// pool, under the Run determinism contract (ColdReset per point,
-// results by index). It is the subset-run
-// primitive behind pruned sweeps and store-backed cold-cell fills: a
-// partially cached surface costs only its missing cells.
-func (p *Pool) RunAt(idx []int, kernel func(m machine.Machine, i int) error) error {
-	return p.Run(len(idx), func(m machine.Machine, j int) error {
-		return kernel(m, idx[j])
-	})
-}
-
 // RunCaptured executes kernel like Run and additionally captures each
 // point's probe state (counter snapshot + trace events) right after
 // its kernel returns, before the worker's machine moves on to another

@@ -35,7 +35,9 @@
 #                           model and the simulator stays within 15%
 #  11. warm-store smoke   — one figure rendered twice against the
 #                           same surface store; the warm run must
-#                           reproduce the cold bytes exactly
+#                           reproduce the cold bytes exactly, and a
+#                           -fast run completed by a full run over
+#                           one store must match a storeless run
 #  12. memserve smoke     — the characterization service on loopback
 #                           against the warm store from step 11: one
 #                           single and one batch bandwidth query must
@@ -98,6 +100,14 @@ go run ./cmd/figures -fig 6 -store "$smoke/sweepstore" \
     >"$smoke/warm.stdout" 2>"$smoke/warm.stderr"
 cmp "$smoke/cold.stdout" "$smoke/warm.stdout"
 grep -q "store: .* 0 misses" "$smoke/warm.stderr"
+# Upgrade path: a -fast run leaves a partial surface; the full run
+# over the same store completes it to the storeless bytes.
+go run ./cmd/figures -fig 6 -fast -store "$smoke/upgradestore" \
+    >/dev/null 2>&1
+go run ./cmd/figures -fig 6 -store "$smoke/upgradestore" \
+    >"$smoke/upgraded.stdout" 2>/dev/null
+go run ./cmd/figures -fig 6 -store "" >"$smoke/storeless.stdout" 2>/dev/null
+cmp "$smoke/upgraded.stdout" "$smoke/storeless.stdout"
 
 echo "== memserve smoke =="
 go build -o "$smoke/memserve" ./cmd/memserve
