@@ -27,6 +27,19 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection timeouts. A legitimate body is at most 1 MB and every
+// answer is a lookup, so these bound only slow or stalled clients:
+// headers must arrive within readHeaderTimeout, the whole request
+// within readTimeout, the response must be written within
+// writeTimeout, and an idle keep-alive connection closes after
+// idleTimeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "listen address (host:port; port 0 picks an ephemeral port)")
 	storeDir := flag.String("store", ".sweepstore", "surface store directory")
@@ -51,7 +64,13 @@ func main() {
 	}
 	log.Printf("memserve: serving %v from %s on http://%s", srv.Machines(), *storeDir, ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

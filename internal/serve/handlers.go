@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -30,17 +31,21 @@ const (
 
 // instrument wraps a handler with the per-endpoint counters /metrics
 // reports: requests, errors (4xx/5xx responses), and cumulative
-// handler latency in host microseconds.
+// handler latency in host microseconds. The three names are built
+// once per route, not per request.
 func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Request) int) http.Handler {
+	requests := "serve." + name + ".requests"
+	errs := "serve." + name + ".errors"
+	latency := "serve." + name + ".latency_us"
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		//simlint:ignore determinism host-side serving latency, decoupled from simulated time
 		start := time.Now()
 		status := h(w, r)
-		s.metrics.Inc("serve." + name + ".requests")
+		s.metrics.Inc(requests)
 		if status >= 400 {
-			s.metrics.Inc("serve." + name + ".errors")
+			s.metrics.Inc(errs)
 		}
-		s.metrics.Add("serve."+name+".latency_us", time.Since(start).Microseconds())
+		s.metrics.Add(latency, time.Since(start).Microseconds())
 	})
 }
 
@@ -105,7 +110,7 @@ func (s *Server) answer(q BandwidthRequest) (*BandwidthResponse, *ErrorDetail, i
 		WSBytes: int64(ws), Stride: q.Stride,
 		BWMBps:     res.BW.MBps(),
 		Confidence: res.Confidence.String(),
-		CalHash:    hex16(sh.cal.Hash()),
+		CalHash:    sh.hashHex,
 	}
 	if pattern == store.PatternTransfer {
 		resp.Mode = mode.String()
@@ -133,17 +138,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	if len(req.Queries) > maxBatch {
 		return writeError(w, http.StatusBadRequest, CodeBadRequest, "batch of %d exceeds limit %d", len(req.Queries), maxBatch)
 	}
-	results := make([]BatchResult, len(req.Queries))
+	// A fixed fan-out: at most Workers goroutines, each holding one
+	// semaphore slot for its whole life and taking query indices from
+	// a shared counter. Started workers drain the whole batch, so a
+	// handler blocked on the semaphore does not stall its own batch.
+	// Answers land by index, so the bytes do not depend on the width.
+	n := len(req.Queries)
+	results := make([]BatchResult, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := range req.Queries {
+	for range min(cap(s.sem), n) {
 		wg.Add(1)
 		s.sem <- struct{}{}
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-s.sem }()
-			resp, detail, _ := s.answer(req.Queries[i])
-			results[i] = BatchResult{Result: resp, Error: detail}
-		}(i)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				resp, detail, _ := s.answer(req.Queries[i])
+				results[i] = BatchResult{Result: resp, Error: detail}
+			}
+		}()
 	}
 	wg.Wait()
 	return writeJSON(w, http.StatusOK, BatchResponse{Results: results})
@@ -171,7 +185,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) int {
 	}
 	resp := PlanResponse{
 		Machine: req.Machine, Bytes: int64(n), Stride: req.Stride,
-		CalHash: hex16(sh.cal.Hash()),
+		CalHash: sh.hashHex,
 		Best:    plans[0].Name,
 	}
 	for _, p := range plans {
@@ -266,7 +280,7 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) int {
 		sh := s.shards[name]
 		info := MachineInfo{
 			Name: name, Display: sh.display,
-			CalHash:   hex16(sh.cal.Hash()),
+			CalHash:   sh.hashHex,
 			Artifacts: counts[sh.display],
 			Planner:   make([]ComponentInfo, 0, len(sh.prov)),
 		}

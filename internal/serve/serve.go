@@ -17,16 +17,21 @@
 //	GET  /v1/surfaces/{key}     slice one stored artifact
 //	GET  /v1/machines           the served machines and their planner provenance
 //	GET  /healthz               liveness
-//	GET  /metrics               per-endpoint and per-store counters
+//	GET  /metrics               per-endpoint, per-machine answer and per-store counters
 //
 // Concurrency model: one shard per machine, each with its own
 // store.Store instance (its own mutex and LRU) over the shared store
 // directory, so T3E traffic never contends with 8400 traffic on a
-// lock. Shards are immutable after construction; the only mutable
+// lock. Each shard holds a store.Querier bound to its calibration, so
+// the calibration is hashed and modelled once at startup, never per
+// query. Shards are immutable after construction except for their
+// answer-confidence counters, which are atomics; the other mutable
 // server state is the metrics registry (probe.LockedRegistry) and
-// each shard's store, both internally locked. Batch queries fan out
-// through a bounded semaphore and land by index, so batch responses
-// are byte-identical whatever the worker width.
+// each shard's store, both internally locked. A batch starts at most
+// Workers goroutines; each holds one slot of a server-wide semaphore
+// and takes query indices from a shared counter, and answers land by
+// index, so batch responses are byte-identical whatever the worker
+// width.
 package serve
 
 import (

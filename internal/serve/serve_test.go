@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -119,6 +120,17 @@ func TestConfidenceTiers(t *testing.T) {
 			}
 		})
 	}
+	// Each answer is counted once, under its machine and tier.
+	metrics := do(t, s, http.MethodGet, "/metrics", "").Body.String()
+	for _, want := range []string{
+		"serve.t3e.answers.exact 1\n",
+		"serve.t3e.answers.interpolated 1\n",
+		"serve.t3e.answers.analytic 2\n",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("metrics output missing %q:\n%s", want, metrics)
+		}
+	}
 }
 
 func TestExactMatchesStoredCell(t *testing.T) {
@@ -221,36 +233,89 @@ func TestBatchPartialFailure(t *testing.T) {
 }
 
 // TestBatchDeterministicAcrossWorkers pins the byte-stability
-// contract: the same batch against servers of width 1, 4, and 16
-// produces identical bytes, and a second server over the same store
-// reproduces them.
+// contract: every batch against servers of width 2, 4, and 16 produces
+// the bytes a width-1 server produces, and so does a second run on the
+// same server. The batch sizes cover the empty batch, one element,
+// each width minus one, the width and the width plus one, and the
+// maxBatch limit; invalid elements are mixed in. Two batches posted at
+// once to one width-2 server must each still match.
 func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 	dir := warmDir(t)
-	var queries []string
-	for i := 0; i < 64; i++ {
+	element := func(i int) string {
+		switch i % 9 {
+		case 4:
+			return `{"machine":"cm5","pattern":"load","ws":"4k","stride":1}`
+		case 7:
+			return `{"machine":"8400","pattern":"transfer","mode":"deposit","ws":"4k","stride":1}`
+		case 8:
+			return `{"machine":"t3d","pattern":"load","ws":"4k","stride":0}`
+		}
 		ws := []string{"4k", "16k", "64k", "1M"}[i%4]
 		stride := []int{1, 2, 4, 8, 16, 32, 64, 128}[i%8]
 		m := []string{"t3e", "t3d", "8400"}[i%3]
-		queries = append(queries,
-			`{"machine":"`+m+`","pattern":"load","ws":"`+ws+`","stride":`+itoa(stride)+`}`)
+		pattern := `"pattern":"load"`
+		if i%5 == 3 {
+			pattern = `"pattern":"transfer","mode":"fetch"`
+		}
+		return `{"machine":"` + m + `",` + pattern + `,"ws":"` + ws + `","stride":` + itoa(stride) + `}`
 	}
-	body := `{"queries":[` + strings.Join(queries, ",") + `]}`
+	batch := func(n int) string {
+		queries := make([]string, n)
+		for i := range queries {
+			queries[i] = element(i)
+		}
+		return `{"queries":[` + strings.Join(queries, ",") + `]}`
+	}
+	widths := []int{2, 4, 16}
+	sizes := []int{0, 1, 64, maxBatch}
+	for _, w := range widths {
+		sizes = append(sizes, w-1, w, w+1)
+	}
 
-	var first []byte
-	for _, workers := range []int{1, 4, 16} {
+	ref := newServer(t, dir, 1)
+	want := make(map[int][]byte)
+	for _, n := range sizes {
+		code, b := post(t, ref, "/v1/bandwidth/batch", batch(n))
+		if code != http.StatusOK {
+			t.Fatalf("width 1, size %d: status %d", n, code)
+		}
+		want[n] = b
+	}
+	for _, workers := range widths {
 		s := newServer(t, dir, workers)
 		for run := 0; run < 2; run++ {
-			code, b := post(t, s, "/v1/bandwidth/batch", body)
-			if code != http.StatusOK {
-				t.Fatalf("workers=%d status %d", workers, code)
+			for _, n := range sizes {
+				code, b := post(t, s, "/v1/bandwidth/batch", batch(n))
+				if code != http.StatusOK {
+					t.Fatalf("workers=%d size %d: status %d", workers, n, code)
+				}
+				if !bytes.Equal(want[n], b) {
+					t.Fatalf("workers=%d run=%d size %d: response bytes differ from width 1", workers, run, n)
+				}
 			}
-			if first == nil {
-				first = b
-				continue
-			}
-			if !bytes.Equal(first, b) {
-				t.Fatalf("workers=%d run=%d: response bytes differ", workers, run)
-			}
+		}
+	}
+
+	// Two batches at once on one width-2 server: one may hold a slot
+	// while it waits for the other's, and both must finish and match.
+	s := newServer(t, dir, 2)
+	pair := []int{maxBatch, 64}
+	got := make([][]byte, len(pair))
+	var wg sync.WaitGroup
+	for i, n := range pair {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := httptest.NewRequest(http.MethodPost, "/v1/bandwidth/batch", strings.NewReader(batch(n)))
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, req)
+			got[i] = w.Body.Bytes()
+		}()
+	}
+	wg.Wait()
+	for i, n := range pair {
+		if !bytes.Equal(want[n], got[i]) {
+			t.Fatalf("concurrent batch of %d: response bytes differ from width 1", n)
 		}
 	}
 }
@@ -396,6 +461,11 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 
 	post(t, s, "/v1/bandwidth", `{"machine":"t3e","pattern":"load","ws":"4k","stride":1}`)
+	post(t, s, "/v1/bandwidth/batch", `{"queries":[
+		{"machine":"t3d","pattern":"load","ws":"4k","stride":1},
+		{"machine":"t3d","pattern":"transfer","ws":"8M","stride":4},
+		{"machine":"8400","pattern":"transfer","mode":"deposit","ws":"4k","stride":1}
+	]}`)
 	w = do(t, s, http.MethodGet, "/metrics", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("metrics status %d", w.Code)
@@ -407,6 +477,13 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"serve.bandwidth.latency_us ",
 		"store.t3e.misses ",
 		"store.catalog.mem_hits ",
+		// Answers by confidence; the unsupported deposit is no answer.
+		"serve.t3e.answers.exact 0\n",
+		"serve.t3e.answers.interpolated 0\n",
+		"serve.t3e.answers.analytic 1\n",
+		"serve.t3d.answers.analytic 2\n",
+		"serve.8400.answers.exact 0\n",
+		"serve.8400.answers.analytic 0\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)

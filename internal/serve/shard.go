@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/analytic"
 	"repro/internal/bench"
@@ -26,18 +27,24 @@ const (
 )
 
 // shard serves one machine: its own store instance (own lock, own
-// LRU) over the shared directory, the stateless analytic model, and a
-// planner characterization rebuilt from stored artifacts at startup.
-// Everything here is read-only after newShard; the store guards its
-// own mutation internally.
+// LRU) over the shared directory, a lookup handle bound to the
+// machine's calibration (which holds the shard's one analytic model),
+// and a planner characterization rebuilt from stored artifacts at
+// startup. Everything here except the answer counters is read-only
+// after newShard; the store guards its own mutation internally.
 type shard struct {
 	key     string // short name: "8400", "t3d", "t3e"
 	display string // calibration display name: "DEC 8400", ...
 	cal     machine.Calibration
-	partner int // canonical remote partner for planner transfers
+	hashHex string // the calibration hash as every response spells it
+	partner int    // canonical remote partner for planner transfers
 	st      *store.Store
-	model   *analytic.Model
+	q       *store.Querier
 	char    *core.Characterization
+	// answers counts the shard's bandwidth answers by confidence,
+	// indexed by store.Confidence. Atomics, so batch workers count
+	// without a lock.
+	answers [3]atomic.Int64
 	// prov grades each characterization component by where its curve
 	// came from: Exact (stored, fully simulated), Interpolated
 	// (stored but partially analytic), Analytic (synthesized).
@@ -80,15 +87,20 @@ func newShard(name string, cfg Config) (*shard, error) {
 		st:      st,
 		grid:    core.DefaultMeasure(),
 	}
-	sh.model = analytic.New(sh.cal)
+	sh.q = st.For(sh.cal)
+	sh.hashHex = hex16(sh.q.Hash())
 	sh.buildChar()
 	return sh, nil
 }
 
 // lookup answers one bandwidth query from the shard's store (exact or
-// interpolated) or the analytic model.
+// interpolated) or the analytic model, and counts its confidence.
 func (sh *shard) lookup(p store.Pattern, mode machine.Mode, ws units.Bytes, stride int) (store.Result, error) {
-	return sh.st.Lookup(sh.cal, p, mode, ws, stride)
+	res, err := sh.q.Lookup(p, mode, ws, stride)
+	if err == nil {
+		sh.answers[res.Confidence].Add(1)
+	}
+	return res, err
 }
 
 // buildChar reconstructs the planner characterization from stored
@@ -139,16 +151,17 @@ func (sh *shard) copyCurve(stridedLoads bool) (*surface.Curve, store.Confidence)
 	}
 	cur := &surface.Curve{
 		Machine: sh.display, Title: "analytic local copy",
-		CalHash: sh.cal.Hash(),
+		CalHash: sh.q.Hash(),
 		Strides: append([]int(nil), opt.Strides...),
 		BW:      make([]units.BytesPerSec, len(opt.Strides)),
 	}
+	model := sh.q.Model()
 	for i, stride := range opt.Strides {
 		load, stores := stride, 1
 		if !stridedLoads {
 			load, stores = 1, stride
 		}
-		cur.BW[i] = serialBW(sh.model.LoadBW(opt.CopyWS, load), sh.model.LoadBW(opt.CopyWS, stores))
+		cur.BW[i] = serialBW(model.LoadBW(opt.CopyWS, load), model.LoadBW(opt.CopyWS, stores))
 	}
 	return cur, store.Analytic
 }
@@ -168,12 +181,12 @@ func (sh *shard) transferCurve(mode machine.Mode, stridedLoads, pipelined bool) 
 	// mode curve stands in, still honestly tagged analytic.
 	cur := &surface.Curve{
 		Machine: sh.display, Title: "analytic remote copy, " + mode.String(),
-		CalHash: sh.cal.Hash(),
+		CalHash: sh.q.Hash(),
 		Strides: append([]int(nil), opt.Strides...),
 		BW:      make([]units.BytesPerSec, len(opt.Strides)),
 	}
 	for i, stride := range opt.Strides {
-		bw, err := sh.model.TransferBW(mode, opt.CopyWS, stride)
+		bw, err := sh.q.Model().TransferBW(mode, opt.CopyWS, stride)
 		if err != nil {
 			return nil, store.Analytic, false
 		}

@@ -45,36 +45,66 @@ type Result struct {
 	Confidence Confidence
 }
 
-// Lookup answers an off-grid bandwidth query from the store. It
-// scans the stored surfaces matching (machine, calibration, pattern,
-// mode) and serves, in order of preference: the exact simulated cell;
-// a log2-bilinear interpolation between simulated cells when the
-// bracketing working sets share one analytic regime (interpolating
-// across a regime boundary — e.g. across the cache-capacity cliff —
-// would average two different mechanisms, so it is refused); else the
-// analytic model, tagged so the caller knows no measurement backs it.
+// Lookup answers an off-grid bandwidth query from the store. It is
+// For(cal).Lookup(p, mode, ws, stride); a caller that issues many
+// queries for one calibration should hold the Querier instead, so
+// the calibration is hashed and modelled once rather than per query.
+func (s *Store) Lookup(cal machine.Calibration, p Pattern, mode machine.Mode, ws units.Bytes, stride int) (Result, error) {
+	return s.For(cal).Lookup(p, mode, ws, stride)
+}
+
+// Querier answers Lookups for one calibration against one store. It
+// derives the calibration hash and the analytic model once, at For;
+// it does not snapshot the manifest, so a surface Put after For is
+// served by the next Lookup. A Querier is safe for concurrent use.
+type Querier struct {
+	st      *Store
+	machine string
+	hash    uint64
+	model   *analytic.Model
+}
+
+// For binds the store to one calibration.
+func (s *Store) For(cal machine.Calibration) *Querier {
+	return &Querier{st: s, machine: cal.Machine, hash: cal.Hash(), model: analytic.New(cal)}
+}
+
+// Hash returns the bound calibration's hash, the CalHash of every
+// stored artifact the Querier can serve.
+func (q *Querier) Hash() uint64 { return q.hash }
+
+// Model returns the analytic model of the bound calibration, the
+// fallback of every Lookup.
+func (q *Querier) Model() *analytic.Model { return q.model }
+
+// Lookup scans the stored surfaces matching (machine, calibration,
+// pattern, mode) and serves, in order of preference: the exact
+// simulated cell; a log2-bilinear interpolation between simulated
+// cells when the bracketing working sets share one analytic regime
+// (interpolating across a regime boundary — e.g. across the
+// cache-capacity cliff — would average two different mechanisms, so
+// it is refused); else the analytic model, tagged so the caller knows
+// no measurement backs it.
 //
 // mode is ignored for PatternLoad. Transfers that the analytic model
 // cannot express return the model's error.
-func (s *Store) Lookup(cal machine.Calibration, p Pattern, mode machine.Mode, ws units.Bytes, stride int) (Result, error) {
-	model := analytic.New(cal)
-	for _, surf := range s.surfacesFor(cal, p, mode) {
-		if r, ok := serveFrom(surf, model, ws, stride); ok {
+func (q *Querier) Lookup(p Pattern, mode machine.Mode, ws units.Bytes, stride int) (Result, error) {
+	for _, surf := range q.st.surfacesFor(q.machine, q.hash, p, mode) {
+		if r, ok := serveFrom(surf, q.model, ws, stride); ok {
 			return r, nil
 		}
 	}
-	return analyticResult(model, p, mode, ws, stride)
+	return analyticResult(q.model, p, mode, ws, stride)
 }
 
 // surfacesFor collects the stored surfaces whose key matches the
-// query's machine, calibration, and pattern family, in manifest
+// query's machine, calibration hash, and pattern family, in manifest
 // order.
-func (s *Store) surfacesFor(cal machine.Calibration, p Pattern, mode machine.Mode) []*surface.Surface {
+func (s *Store) surfacesFor(machineName string, hash uint64, p Pattern, mode machine.Mode) []*surface.Surface {
 	prefix := string(p) + "@"
 	if p == PatternTransfer {
 		prefix = string(p) + "-" + mode.String() + "@"
 	}
-	hash := cal.Hash()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -84,7 +114,7 @@ func (s *Store) surfacesFor(cal machine.Calibration, p Pattern, mode machine.Mod
 	var keys []Key
 	for i := range s.man.Entries {
 		e := &s.man.Entries[i]
-		if e.Kind != KindSurface || e.Machine != cal.Machine ||
+		if e.Kind != KindSurface || e.Machine != machineName ||
 			e.CalHash != hash || !strings.HasPrefix(e.Pattern, prefix) {
 			continue
 		}

@@ -22,12 +22,18 @@
 #                           surface codecs plus 25 over the serving
 #                           layer; any survivor is a hard failure
 #                           (the full sweep is `make mutate`)
-#   7. go test -race ./...— the full suite under the race detector
+#   7. go test -race ./...— the full suite under the race detector,
+#                           then each native fuzz target of the
+#                           serving layer (FuzzBandwidth, FuzzBatch,
+#                           FuzzPlan) for 3 s: no request body may
+#                           panic the handler or draw a 5xx
 #   8. hot-primitive benchmarks — BenchmarkPrime, BenchmarkMeasure
 #                           and BenchmarkTransfer run once each, so
 #                           the host ns-per-access probes of a load
 #                           cell and the ns-per-word probes of a
-#                           transfer cell keep compiling and running
+#                           transfer cell keep compiling and running;
+#                           so do memserve's load benchmarks,
+#                           BenchmarkServeSingle and BenchmarkServeBatch
 #   9. memtrace smoke     — one traced point end to end
 #  10. analytic validation — memchar -validate on a reduced grid
 #                           (working sets to 512K): every regime's
@@ -82,8 +88,14 @@ go run ./cmd/simmut -budget 25 ./internal/serve
 echo "== go test -race =="
 go test -race ./...
 
+echo "== fuzz (3 s per target) =="
+for target in FuzzBandwidth FuzzBatch FuzzPlan; do
+    go test -run '^$' -fuzz "^$target\$" -fuzztime 3s ./internal/serve
+done
+
 echo "== hot-primitive benchmarks (one iteration) =="
 go test -run '^$' -bench 'Prime|Measure|Transfer' -benchtime 1x ./internal/bench
+go test -run '^$' -bench '^Benchmark(ServeSingle|ServeBatch)$' -benchtime 1x ./internal/serve
 
 echo "== memtrace smoke =="
 go run ./cmd/memtrace -machine 8400 -ws 16K -stride 4 -out /dev/null
