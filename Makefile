@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the pre-commit gate.
 
-.PHONY: build test check lint lint-fix lint-baseline mutate fmt figures bench serve
+.PHONY: build test check lint lint-fix mutate fmt figures bench serve
 
 build:
 	go build ./...
@@ -8,22 +8,16 @@ build:
 test:
 	go test ./...
 
-# check runs the full gate: build, gofmt (hard failure), go vet,
-# simlint, the test suite under the race detector, and a traced
-# memtrace point end to end.
+# check runs the full gate (scripts/check.sh lists its steps): build,
+# gofmt (hard failure), go vet, simlint, the simmut smoke, the test
+# suite under the race detector, and the end-to-end smokes.
 check:
 	./scripts/check.sh
 
 # lint runs only the domain-specific analyzers (through the
-# incremental cache, against the checked-in baseline).
+# incremental cache); any finding fails.
 lint:
-	go run ./cmd/simlint -baseline lint.baseline.json ./...
-
-# lint-baseline re-records the currently accepted findings in
-# lint.baseline.json; `make lint` and `make check` then fail only on
-# findings newer than that snapshot.
-lint-baseline:
-	go run ./cmd/simlint -baseline lint.baseline.json -update-baseline ./...
+	go run ./cmd/simlint ./...
 
 # lint-fix applies simlint's suggested fixes in place (insert `_ =`,
 # rewrite worker appends as writes-by-index, zero forgotten fields in

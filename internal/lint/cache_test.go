@@ -202,23 +202,3 @@ func TestStaleCacheVersionIgnored(t *testing.T) {
 		t.Fatalf("stale entry not rewritten: version %d", e.CacheVersion)
 	}
 }
-
-// TestRepoDirectivesHaveReasons audits every //simlint:ignore in the
-// module: each must parse and carry a reason — the -ignores report's
-// contract, enforced from tier-1.
-func TestRepoDirectivesHaveReasons(t *testing.T) {
-	dirs, err := Directives([]string{"repro/..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dirs) == 0 {
-		t.Fatal("expected at least one ignore directive in the module")
-	}
-	for _, d := range dirs {
-		if d.Problem != "" {
-			t.Errorf("%s:%d: malformed directive: %s", d.File, d.Line, d.Problem)
-		} else if d.Reason == "" {
-			t.Errorf("%s:%d: directive without a reason", d.File, d.Line)
-		}
-	}
-}

@@ -23,7 +23,7 @@ import (
 // Order-insensitive map loops (integer counting, writes into another
 // map, pure reads) pass: the point is reproducible artifacts, not a
 // map ban. Goroutine-capture hazards (v1's append check) now live in
-// the sweepsafe analyzer.
+// the sharedcapture analyzer.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "flag order-dependent map iteration, wall-clock time, and " +

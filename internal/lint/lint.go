@@ -91,7 +91,7 @@ type Analyzer struct {
 }
 
 // All lists every analyzer in the suite, in reporting order.
-var All = []*Analyzer{Unitsafe, Cycleflow, Statereset, Sweepsafe, Determinism, Probeguard, Attrcover, Snapshotsafe, Locksafe, Sharedcapture, Atomicwrite}
+var All = []*Analyzer{Unitsafe, Cycleflow, Statereset, Determinism, Probeguard, Attrcover, Snapshotsafe, Locksafe, Sharedcapture, Atomicwrite}
 
 // ByName returns the analyzer with the given name, or nil.
 func ByName(name string) *Analyzer {
@@ -251,8 +251,9 @@ func analyzeModule(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// sortDiagnostics orders findings by position then analyzer — the
-// stable output order every driver path shares.
+// sortDiagnostics orders findings by position, analyzer, then
+// message — the stable output order every driver path shares (one
+// analyzer can report two rules at the same position).
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -265,7 +266,10 @@ func sortDiagnostics(diags []Diagnostic) {
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }
 
@@ -284,22 +288,21 @@ func (ig ignoreSet) suppressed(d Diagnostic) bool {
 const ignorePrefix = "//simlint:ignore"
 
 // parseDirective validates the text of one //simlint:ignore comment
-// and returns the analyzer name and the reason. The error text is the
-// diagnostic message for malformed directives.
-func parseDirective(text string) (name, reason string, err error) {
-	rest := strings.TrimPrefix(text, ignorePrefix)
-	fields := strings.Fields(rest)
+// and returns the analyzer name. The error text is the diagnostic
+// message for malformed directives.
+func parseDirective(text string) (string, error) {
+	fields := strings.Fields(strings.TrimPrefix(text, ignorePrefix))
 	if len(fields) == 0 {
-		return "", "", fmt.Errorf("simlint:ignore directive needs an analyzer name and a reason")
+		return "", fmt.Errorf("simlint:ignore directive needs an analyzer name and a reason")
 	}
-	name = fields[0]
+	name := fields[0]
 	if name != "all" && ByName(name) == nil {
-		return "", "", fmt.Errorf("simlint:ignore names unknown analyzer %q", name)
+		return "", fmt.Errorf("simlint:ignore names unknown analyzer %q", name)
 	}
 	if len(fields) < 2 {
-		return "", "", fmt.Errorf("simlint:ignore %s needs a reason", name)
+		return "", fmt.Errorf("simlint:ignore %s needs a reason", name)
 	}
-	return name, strings.Join(fields[1:], " "), nil
+	return name, nil
 }
 
 // collectIgnores scans comments for //simlint:ignore directives. A
@@ -317,7 +320,7 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagno
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				name, _, err := parseDirective(c.Text)
+				name, err := parseDirective(c.Text)
 				if err != nil {
 					bad = append(bad, Diagnostic{
 						Analyzer: "simlint", Severity: SeverityWarning, Pos: pos,

@@ -23,10 +23,16 @@ type expectation struct {
 	matched  bool
 }
 
+// testLoader is shared by the fixture and repo tests, so the module
+// and its imports (probe, units, ...) are type-checked from source
+// once per test binary rather than once per test. Loaders are not safe
+// for concurrent use; none of its users runs in parallel.
+var testLoader = NewLoader()
+
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	pkg, err := NewLoader().LoadDir(dir, "repro/internal/lint/testdata/src/"+name)
+	pkg, err := testLoader.LoadDir(dir, "repro/internal/lint/testdata/src/"+name)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
@@ -76,20 +82,11 @@ func testFixture(t *testing.T, name string, analyzers ...*Analyzer) {
 // matches diagnostics against the union of their want-markers.
 func testFixtures(t *testing.T, names []string, analyzers ...*Analyzer) {
 	t.Helper()
-	loader := NewLoader()
 	var pkgs []*Package
 	var wants []*expectation
 	for _, name := range names {
-		dir := filepath.Join("testdata", "src", name)
-		pkg, err := loader.LoadDir(dir, "repro/internal/lint/testdata/src/"+name)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", name, err)
-		}
-		if pkg == nil {
-			t.Fatalf("fixture %s has no Go files", name)
-		}
-		pkgs = append(pkgs, pkg)
-		wants = append(wants, collectWants(t, dir)...)
+		pkgs = append(pkgs, loadFixture(t, name))
+		wants = append(wants, collectWants(t, filepath.Join("testdata", "src", name))...)
 	}
 	diags := Run(pkgs, analyzers)
 	for _, d := range diags {
@@ -130,10 +127,12 @@ func TestStateresetCatchesViolations(t *testing.T) {
 }
 func TestStateresetCleanPass(t *testing.T) { testFixture(t, "statereset_ok", Statereset) }
 
+// The sweepsafe fixtures hold sharedcapture's ownership rules (the
+// rules of the former sweepsafe analyzer, folded into it).
 func TestSweepsafeCatchesViolations(t *testing.T) {
-	testFixture(t, "sweepsafe_bad", Sweepsafe)
+	testFixture(t, "sweepsafe_bad", Sharedcapture)
 }
-func TestSweepsafeCleanPass(t *testing.T) { testFixture(t, "sweepsafe_ok", Sweepsafe) }
+func TestSweepsafeCleanPass(t *testing.T) { testFixture(t, "sweepsafe_ok", Sharedcapture) }
 
 func TestDeterminismCatchesViolations(t *testing.T) {
 	testFixture(t, "determinism_bad", Determinism)
@@ -295,7 +294,7 @@ func TestExpandResolvesImportPaths(t *testing.T) {
 // surface package: the Surface codec is the first production snapshot
 // it guards, and it must come out clean.
 func TestSnapshotsafeOnSurfaceCodec(t *testing.T) {
-	pkgs, err := NewLoader().Load([]string{"repro/internal/surface"})
+	pkgs, err := testLoader.Load([]string{"repro/internal/surface"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +307,7 @@ func TestSnapshotsafeOnSurfaceCodec(t *testing.T) {
 // store package: the manifest codec is the surface store's index and
 // must come out clean.
 func TestSnapshotsafeOnStoreManifest(t *testing.T) {
-	pkgs, err := NewLoader().Load([]string{"repro/internal/store"})
+	pkgs, err := testLoader.Load([]string{"repro/internal/store"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +322,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	pkgs, err := NewLoader().Load([]string{"repro/..."})
+	pkgs, err := testLoader.Load([]string{"repro/..."})
 	if err != nil {
 		t.Fatal(err)
 	}

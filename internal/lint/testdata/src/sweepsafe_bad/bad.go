@@ -1,5 +1,5 @@
 // Package sweepsafe_bad writes captured shared state from concurrent
-// bodies in every way the sweepsafe analyzer knows about.
+// bodies in every way sharedcapture's ownership rules know about.
 package sweepsafe_bad
 
 // Pool mimics internal/sweep.Pool's kernel-running shape.
@@ -16,7 +16,7 @@ func fanOutAppend(points []int) []int {
 	done := make(chan struct{})
 	for i := range points {
 		go func(i int) {
-			results = append(results, points[i]) // want:sweepsafe append to "results" captured from the spawning goroutine
+			results = append(results, points[i]) // want:sharedcapture append to "results" captured from the spawning goroutine
 			done <- struct{}{}
 		}(i)
 	}
@@ -31,7 +31,7 @@ func sharedCounter(points []int) int {
 	done := make(chan struct{})
 	for range points {
 		go func() {
-			total++ // want:sweepsafe writes captured variable "total"
+			total++ // want:sharedcapture writes captured variable "total"
 			done <- struct{}{}
 		}()
 	}
@@ -43,14 +43,14 @@ func sharedCounter(points []int) int {
 
 func fixedSlot(results []int, done chan struct{}) {
 	go func() {
-		results[0] = 1 // want:sweepsafe index not derived from a worker-local variable
+		results[0] = 1 // want:sharedcapture index not derived from a worker-local variable
 		done <- struct{}{}
 	}()
 }
 
 func sharedStruct(st *state, done chan struct{}) {
 	go func() {
-		st.n = 1 // want:sweepsafe writes field n of captured "st"
+		st.n = 1 // want:sharedcapture writes field n of captured "st"
 		done <- struct{}{}
 	}()
 }
@@ -58,7 +58,7 @@ func sharedStruct(st *state, done chan struct{}) {
 func poolShared(p *Pool, points []int) int {
 	sum := 0
 	_ = p.Run(func(w int) error {
-		sum += points[w] // want:sweepsafe worker-pool kernel writes captured variable "sum"
+		sum += points[w] // want:sharedcapture worker-pool kernel writes captured variable "sum"
 		return nil
 	})
 	return sum
@@ -76,7 +76,7 @@ func (p *Pool) RunCaptured(n int, kernel func(w int) error) ([]int, error) {
 func poolRunAtAppend(p *Pool, idx, points []int) []int {
 	var results []int
 	_ = p.RunAt(idx, func(w int) error {
-		results = append(results, points[w]) // want:sweepsafe append to "results" captured from the spawning goroutine
+		results = append(results, points[w]) // want:sharedcapture append to "results" captured from the spawning goroutine
 		return nil
 	})
 	return results
@@ -85,7 +85,7 @@ func poolRunAtAppend(p *Pool, idx, points []int) []int {
 func poolRunCapturedShared(p *Pool, points []int) int {
 	sum := 0
 	_, _ = p.RunCaptured(len(points), func(w int) error {
-		sum += points[w] // want:sweepsafe worker-pool kernel writes captured variable "sum"
+		sum += points[w] // want:sharedcapture worker-pool kernel writes captured variable "sum"
 		return nil
 	})
 	return sum

@@ -112,8 +112,8 @@ diff -r "$TMP/storecold" "$TMP/storewarm"
 cmp "$TMP/storecold.stdout" "$TMP/storewarm.stdout"
 diff -r "$TMP/seq" "$TMP/storecold"
 # The committed artifacts too: a host-side optimisation must leave
-# every figure byte-identical to out/ (simlint.sarif is check.sh's).
-diff -r -x simlint.sarif "$TMP/seq" out
+# every figure byte-identical to out/.
+diff -r "$TMP/seq" out
 echo "   artifacts byte-identical across worker counts, tracing, and store modes, and to out/"
 
 echo "== simlint ./... (uncached) =="

@@ -7,50 +7,44 @@
 #   3. go vet ./...       — the stock analyzers
 #   4. simlint ./...      — the domain analyzers (unit safety,
 #                           cycle flow, ColdReset completeness,
-#                           sweep safety, determinism, probe guard,
-#                           attribution coverage, snapshot safety,
-#                           lock domination, shared capture, atomic
+#                           determinism, probe guard, attribution
+#                           coverage, snapshot safety, lock
+#                           domination, shared capture, atomic
 #                           artifact writes), run through the
-#                           incremental cache, judged against
-#                           lint.baseline.json (only NEW findings
-#                           fail), with a SARIF log left in
-#                           out/simlint.sarif
-#   5. simlint -fix -dry-run ./... — pending autofixes are a hard
-#                           failure: apply them (make lint-fix) or
-#                           justify with a directive
-#   6. simmut smoke       — a budget of 25 mutants over the unit and
+#                           incremental cache; any finding fails
+#   5. simmut smoke       — a budget of 25 mutants over the unit and
 #                           surface codecs plus 25 over the serving
 #                           layer; any survivor is a hard failure
 #                           (the full sweep is `make mutate`)
-#   7. go test -race ./...— the full suite under the race detector,
+#   6. go test -race ./...— the full suite under the race detector,
 #                           then each native fuzz target of the
 #                           serving layer (FuzzBandwidth, FuzzBatch,
 #                           FuzzPlan) for 3 s: no request body may
 #                           panic the handler or draw a 5xx
-#   8. hot-primitive benchmarks — BenchmarkPrime, BenchmarkMeasure
+#   7. hot-primitive benchmarks — BenchmarkPrime, BenchmarkMeasure
 #                           and BenchmarkTransfer run once each, so
 #                           the host ns-per-access probes of a load
 #                           cell and the ns-per-word probes of a
 #                           transfer cell keep compiling and running;
 #                           so do memserve's load benchmarks,
 #                           BenchmarkServeSingle and BenchmarkServeBatch
-#   9. memtrace smoke     — one traced point end to end
-#  10. analytic validation — memchar -validate on a reduced grid
+#   8. memtrace smoke     — one traced point end to end
+#   9. analytic validation — memchar -validate on a reduced grid
 #                           (working sets to 512K): every regime's
 #                           mean divergence between the closed-form
 #                           model and the simulator stays within 15%
-#  11. warm-store smoke   — one figure rendered twice against the
+#  10. warm-store smoke   — one figure rendered twice against the
 #                           same surface store; the warm run must
 #                           reproduce the cold bytes exactly, and a
 #                           -fast run completed by a full run over
 #                           one store must match a storeless run
-#  12. memserve smoke     — the characterization service on loopback
-#                           against the warm store from step 11: one
+#  11. memserve smoke     — the characterization service on loopback
+#                           against the warm store from step 10: one
 #                           single and one batch bandwidth query must
 #                           answer with a confidence tag, /healthz
 #                           must return 2xx, and SIGINT must produce
 #                           a clean (exit 0) shutdown
-#  13. perfbench          — the benchmark's self-tests, then one short
+#  12. perfbench          — the benchmark's self-tests, then one short
 #                           untraced sweep pass: every simulated cell
 #                           must match the benchmark's bit-for-bit
 #                           reference and its counter gate
@@ -75,11 +69,7 @@ echo "== go vet =="
 go vet ./...
 
 echo "== simlint =="
-mkdir -p out
-go run ./cmd/simlint -sarif out/simlint.sarif -baseline lint.baseline.json ./...
-
-echo "== simlint -fix -dry-run =="
-go run ./cmd/simlint -fix -dry-run ./...
+go run ./cmd/simlint ./...
 
 echo "== simmut smoke (budget 25) =="
 go run ./cmd/simmut -budget 25 ./internal/units ./internal/surface
