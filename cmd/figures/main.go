@@ -19,6 +19,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -134,7 +136,7 @@ func tables(ms map[string]machine.Machine, ps map[string]*sweep.Pool, cs map[str
 	fmt.Println("Table C — 2D-FFT application kernel (paper §7 vs simulation)")
 	fmt.Println(report.Table(rows))
 
-	txt, err := report.Figures15to17(ms, cs, []int{32, 64, 128, 256, 512, 1024})
+	txt, err := report.Figures15to17(ms, cs, fftSizes)
 	if err != nil {
 		return err
 	}
@@ -169,106 +171,124 @@ func (st *pruneStats) report() {
 		st.simulated, st.total, 100*float64(st.simulated)/float64(st.total))
 }
 
-// loadSurf and transferSurf produce one surface, honouring -fast.
-func loadSurf(p *sweep.Pool, maxWS units.Bytes, fast bool, st *pruneStats) *surface.Surface {
+// producer sweeps the surfaces of one figure on its machine's pool,
+// honouring -maxws and -fast where the figure has them.
+type producer func(p *sweep.Pool, maxWS units.Bytes, fast bool, st *pruneStats) ([]*surface.Surface, error)
+
+// artifact is one file a figure writes under -all: the extension
+// after the figure's stem, and the content.
+type artifact struct{ ext, content string }
+
+// renderer turns a figure's surfaces into its -fig stdout and its
+// -all files.
+type renderer func(ss []*surface.Surface) (stdout string, files []artifact)
+
+// figure is one numbered sweep figure.
+type figure struct {
+	num     int
+	pool    string // machine key of the pool it sweeps
+	stem    string // file name under -all, without extension
+	produce producer
+	render  renderer
+}
+
+// figures lists Figures 1-14 in the order -all writes them. Figures
+// 15-17 are the FFT study, which needs the
+// characterizations rather than one sweep.
+var figures = []figure{
+	{1, "8400", "fig01_8400_local_load", loadFig, grid},
+	{2, "8400", "fig02_8400_remote_pull", transferFig(machine.Fetch), grid},
+	{3, "t3d", "fig03_t3d_local_load", loadFig, grid},
+	{4, "t3d", "fig04_t3d_fetch", transferFig(machine.Fetch), grid},
+	{5, "t3d", "fig05_t3d_deposit", transferFig(machine.Deposit), grid},
+	{6, "t3e", "fig06_t3e_local_load", loadFig, grid},
+	{7, "t3e", "fig07_t3e_fetch", transferFig(machine.Fetch), grid},
+	{8, "t3e", "fig08_t3e_deposit", transferFig(machine.Deposit), grid},
+	{9, "8400", "fig09_8400_local_copy", copyFig, copyCurves},
+	{10, "t3d", "fig10_t3d_local_copy", copyFig, copyCurves},
+	{11, "t3e", "fig11_t3e_local_copy", copyFig, copyCurves},
+	{12, "8400", "fig12_8400_remote_copy", remoteCopyFig, curves},
+	{13, "t3d", "fig13_t3d_remote_copy", remoteCopyFig, curves},
+	{14, "t3e", "fig14_t3e_remote_copy", remoteCopyFig, curves},
+}
+
+// fftSizes are the problem sizes of Figures 15-17 and Table C's
+// companion table.
+var fftSizes = []int{32, 64, 128, 256, 512, 1024}
+
+func loadFig(p *sweep.Pool, maxWS units.Bytes, fast bool, st *pruneStats) ([]*surface.Surface, error) {
 	s, sim, total := report.LoadFigure(p, maxWS, fast)
 	st.note(sim, total)
-	return s
+	return []*surface.Surface{s}, nil
 }
 
-func transferSurf(p *sweep.Pool, mode machine.Mode, maxWS units.Bytes, fast bool, st *pruneStats) (*surface.Surface, error) {
-	s, sim, total, err := report.TransferFigure(p, mode, maxWS, fast)
-	st.note(sim, total)
-	return s, err
+func transferFig(mode machine.Mode) producer {
+	return func(p *sweep.Pool, maxWS units.Bytes, fast bool, st *pruneStats) ([]*surface.Surface, error) {
+		s, sim, total, err := report.TransferFigure(p, mode, maxWS, fast)
+		st.note(sim, total)
+		return []*surface.Surface{s}, err
+	}
 }
 
-// figureSpec describes how to produce each numbered figure.
+func copyFig(p *sweep.Pool, _ units.Bytes, _ bool, _ *pruneStats) ([]*surface.Surface, error) {
+	a, b := report.CopyFigure(p)
+	return []*surface.Surface{a, b}, nil
+}
+
+func remoteCopyFig(p *sweep.Pool, _ units.Bytes, _ bool, _ *pruneStats) ([]*surface.Surface, error) {
+	return report.RemoteCopyFigure(p)
+}
+
+// grid renders a full surface: the ASCII plot on stdout, CSV and
+// ASCII files.
+func grid(ss []*surface.Surface) (string, []artifact) {
+	art := ss[0].ASCII()
+	return art, []artifact{{".csv", ss[0].CSV()}, {".txt", art}}
+}
+
+// curves renders one-row surfaces as stride tables, each followed by
+// a blank line, on stdout and in one text file.
+func curves(ss []*surface.Surface) (string, []artifact) {
+	var b strings.Builder
+	for _, s := range ss {
+		b.WriteString(s.Table())
+		b.WriteByte('\n')
+	}
+	return b.String(), []artifact{{".txt", b.String()}}
+}
+
+// copyCurves is curves with no blank line after the last table in
+// the file.
+func copyCurves(ss []*surface.Surface) (string, []artifact) {
+	out, _ := curves(ss)
+	return out, []artifact{{".txt", strings.TrimSuffix(out, "\n")}}
+}
+
+// printFigure prints one figure to stdout.
 func printFigure(ms map[string]machine.Machine, ps map[string]*sweep.Pool, fig int, maxWS units.Bytes, fast bool) error {
-	var st pruneStats
-	defer st.report()
-	emitSurface := func(s *surface.Surface) {
-		fmt.Print(s.ASCII())
-	}
-	emitCurves := func(cs ...*surface.Curve) {
-		for _, c := range cs {
-			fmt.Println(c.Table())
-		}
-	}
-	switch fig {
-	case 1:
-		emitSurface(loadSurf(ps["8400"], maxWS, fast, &st))
-	case 2:
-		s, err := transferSurf(ps["8400"], machine.Fetch, maxWS, fast, &st)
-		if err != nil {
-			return err
-		}
-		emitSurface(s)
-	case 3:
-		emitSurface(loadSurf(ps["t3d"], maxWS, fast, &st))
-	case 4:
-		s, err := transferSurf(ps["t3d"], machine.Fetch, maxWS, fast, &st)
-		if err != nil {
-			return err
-		}
-		emitSurface(s)
-	case 5:
-		s, err := transferSurf(ps["t3d"], machine.Deposit, maxWS, fast, &st)
-		if err != nil {
-			return err
-		}
-		emitSurface(s)
-	case 6:
-		emitSurface(loadSurf(ps["t3e"], maxWS, fast, &st))
-	case 7:
-		s, err := transferSurf(ps["t3e"], machine.Fetch, maxWS, fast, &st)
-		if err != nil {
-			return err
-		}
-		emitSurface(s)
-	case 8:
-		s, err := transferSurf(ps["t3e"], machine.Deposit, maxWS, fast, &st)
-		if err != nil {
-			return err
-		}
-		emitSurface(s)
-	case 9:
-		emitCurves(first2(report.CopyFigure(ps["8400"])))
-	case 10:
-		emitCurves(first2(report.CopyFigure(ps["t3d"])))
-	case 11:
-		emitCurves(first2(report.CopyFigure(ps["t3e"])))
-	case 12:
-		cs, err := report.RemoteCopyFigure(ps["8400"])
-		if err != nil {
-			return err
-		}
-		emitCurves(cs...)
-	case 13:
-		cs, err := report.RemoteCopyFigure(ps["t3d"])
-		if err != nil {
-			return err
-		}
-		emitCurves(cs...)
-	case 14:
-		cs, err := report.RemoteCopyFigure(ps["t3e"])
-		if err != nil {
-			return err
-		}
-		emitCurves(cs...)
-	case 15, 16, 17:
-		cs := characterize(ps)
-		txt, err := report.Figures15to17(ms, cs, []int{32, 64, 128, 256, 512, 1024})
+	if fig >= 15 && fig <= 17 {
+		txt, err := report.Figures15to17(ms, characterize(ps), fftSizes)
 		if err != nil {
 			return err
 		}
 		fmt.Println(txt)
-	default:
+		return nil
+	}
+	i := slices.IndexFunc(figures, func(f figure) bool { return f.num == fig })
+	if i < 0 {
 		return fmt.Errorf("no figure %d (paper has 1-17)", fig)
 	}
+	var st pruneStats
+	defer st.report()
+	f := figures[i]
+	ss, err := f.produce(ps[f.pool], maxWS, fast, &st)
+	if err != nil {
+		return err
+	}
+	out, _ := f.render(ss)
+	fmt.Print(out)
 	return nil
 }
-
-func first2(a, b *surface.Curve) (x, y *surface.Curve) { return a, b }
 
 func writeAll(ms map[string]machine.Machine, ps map[string]*sweep.Pool, dir string, maxWS units.Bytes, fast bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -279,66 +299,17 @@ func writeAll(ms map[string]machine.Machine, ps map[string]*sweep.Pool, dir stri
 	write := func(name, content string) error {
 		return os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644)
 	}
-	type surfJob struct {
-		name string
-		pool *sweep.Pool
-		mode machine.Mode
-		load bool
-	}
-	jobs := []surfJob{
-		{"fig01_8400_local_load", ps["8400"], 0, true},
-		{"fig02_8400_remote_pull", ps["8400"], machine.Fetch, false},
-		{"fig03_t3d_local_load", ps["t3d"], 0, true},
-		{"fig04_t3d_fetch", ps["t3d"], machine.Fetch, false},
-		{"fig05_t3d_deposit", ps["t3d"], machine.Deposit, false},
-		{"fig06_t3e_local_load", ps["t3e"], 0, true},
-		{"fig07_t3e_fetch", ps["t3e"], machine.Fetch, false},
-		{"fig08_t3e_deposit", ps["t3e"], machine.Deposit, false},
-	}
-	for _, j := range jobs {
-		fmt.Fprintf(os.Stderr, "sweeping %s...\n", j.name)
-		var s *surface.Surface
-		var err error
-		if j.load {
-			s = loadSurf(j.pool, maxWS, fast, &st)
-		} else {
-			s, err = transferSurf(j.pool, j.mode, maxWS, fast, &st)
-			if err != nil {
-				return err
-			}
-		}
-		if err := write(j.name+".csv", s.CSV()); err != nil {
-			return err
-		}
-		if err := write(j.name+".txt", s.ASCII()); err != nil {
-			return err
-		}
-	}
-	copyJobs := []struct{ key, name string }{
-		{"8400", "fig09"}, {"t3d", "fig10"}, {"t3e", "fig11"},
-	}
-	for _, j := range copyJobs {
-		fmt.Fprintf(os.Stderr, "sweeping %s local copies...\n", j.key)
-		a, b := report.CopyFigure(ps[j.key])
-		if err := write(fmt.Sprintf("%s_%s_local_copy.txt", j.name, j.key), a.Table()+"\n"+b.Table()); err != nil {
-			return err
-		}
-	}
-	remoteJobs := []struct{ key, name string }{
-		{"8400", "fig12"}, {"t3d", "fig13"}, {"t3e", "fig14"},
-	}
-	for _, j := range remoteJobs {
-		fmt.Fprintf(os.Stderr, "sweeping %s remote copies...\n", j.key)
-		cs, err := report.RemoteCopyFigure(ps[j.key])
+	for _, f := range figures {
+		fmt.Fprintf(os.Stderr, "sweeping %s...\n", f.stem)
+		ss, err := f.produce(ps[f.pool], maxWS, fast, &st)
 		if err != nil {
 			return err
 		}
-		var txt string
-		for _, c := range cs {
-			txt += c.Table() + "\n"
-		}
-		if err := write(fmt.Sprintf("%s_%s_remote_copy.txt", j.name, j.key), txt); err != nil {
-			return err
+		_, files := f.render(ss)
+		for _, a := range files {
+			if err := write(f.stem+a.ext, a.content); err != nil {
+				return err
+			}
 		}
 	}
 	attrJobs := []string{"8400", "t3d", "t3e"}
@@ -353,7 +324,7 @@ func writeAll(ms map[string]machine.Machine, ps map[string]*sweep.Pool, dir stri
 		}
 	}
 	cs := characterize(ps)
-	txt, err := report.Figures15to17(ms, cs, []int{32, 64, 128, 256, 512, 1024})
+	txt, err := report.Figures15to17(ms, cs, fftSizes)
 	if err != nil {
 		return err
 	}

@@ -67,7 +67,7 @@ func goldenCopyCurves() string {
 			c := bench.CopyCurve(p, 0, goldenCopyWS, goldenCopyStrides, stridedLoads)
 			for i, st := range c.Strides {
 				fmt.Fprintf(&b, "%s,%s,%d,%s\n", c.Machine, side, st,
-					strconv.FormatFloat(float64(c.BW[i]), 'g', -1, 64))
+					strconv.FormatFloat(float64(c.BW[0][i]), 'g', -1, 64))
 			}
 		}
 	}

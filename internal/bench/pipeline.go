@@ -1,7 +1,8 @@
 package bench
 
-// The sweep pipelines behind Figures 1-14. Every surface and curve
-// request runs the same three steps:
+// The sweep pipeline behind Figures 1-14 and the headline tables.
+// Every request is a surface — a fixed-working-set stride sweep is a
+// one-row one — and runs the same three steps:
 //
 //   - plan: pick each cell's source — the pool's store, the analytic
 //     model, or the simulator;
@@ -29,15 +30,15 @@ import (
 	"repro/internal/units"
 )
 
-// cell simulates one grid point on a ColdReset machine.
-type cell func(m machine.Machine, ws units.Bytes, stride int) (units.BytesPerSec, error)
+// Cell simulates one grid point on a ColdReset machine.
+type Cell func(m machine.Machine, ws units.Bytes, stride int) (units.BytesPerSec, error)
 
 // modelCell returns the closed form's bandwidth for a point the
 // pruner is sure of, or false to send the point to the simulator.
 type modelCell func(pr *analytic.Pruner, ws units.Bytes, stride int) (units.BytesPerSec, bool)
 
 // loadCell is the Load Sum kernel of Figures 1, 3 and 6.
-func loadCell(idx int) cell {
+func loadCell(idx int) Cell {
 	base := machine.LocalBase(idx)
 	return func(m machine.Machine, ws units.Bytes, stride int) (units.BytesPerSec, error) {
 		return LoadSum(m, idx, access.Pattern{Base: base, WorkingSet: ws, Stride: stride}), nil
@@ -46,7 +47,7 @@ func loadCell(idx int) cell {
 
 // copyCell is the local copy kernel of Figures 9-11: the destination
 // array sits 1 GB above the source.
-func copyCell(idx int, stridedLoads bool) cell {
+func copyCell(idx int, stridedLoads bool) Cell {
 	base := machine.LocalBase(idx)
 	return func(m machine.Machine, ws units.Bytes, stride int) (units.BytesPerSec, error) {
 		cp := access.CopyPattern{SrcBase: base, DstBase: base + 1<<30,
@@ -63,7 +64,7 @@ func copyCell(idx int, stridedLoads bool) cell {
 // transferCell is the remote transfer kernel of Figures 2, 4, 5, 7, 8
 // and 12-14. stridedLoads selects whether the source reads or the
 // destination writes are strided; the other side is contiguous.
-func transferCell(src, dst int, opt machine.Options, stridedLoads bool) cell {
+func transferCell(src, dst int, opt machine.Options, stridedLoads bool) Cell {
 	return func(m machine.Machine, ws units.Bytes, stride int) (units.BytesPerSec, error) {
 		cp := access.CopyPattern{
 			SrcBase: machine.LocalBase(src), DstBase: machine.LocalBase(dst),
@@ -79,20 +80,20 @@ func transferCell(src, dst int, opt machine.Options, stridedLoads bool) cell {
 }
 
 // surfaceRequest is one stride x working-set grid: where it is
-// stored, how to simulate a cell and how to model one.
+// stored, how to simulate a cell and how to model one. model is nil
+// for grids the analytic fast path does not cover; they are only
+// swept in full.
 type surfaceRequest struct {
-	cal     machine.Calibration
 	key     store.Key
 	title   string
 	strides []int
 	wss     []units.Bytes
-	sim     cell
+	sim     Cell
 	model   modelCell
 }
 
 func loadRequest(p *sweep.Pool, idx int, strides []int, wss []units.Bytes) surfaceRequest {
-	cal := p.Machine().Calibration()
-	return surfaceRequest{cal: cal, key: LoadSurfaceKey(cal, idx, strides, wss),
+	return surfaceRequest{key: LoadSurfaceKey(p.Machine().Calibration(), idx, strides, wss),
 		title: "local load bandwidth", strides: strides, wss: wss,
 		sim: loadCell(idx),
 		model: func(pr *analytic.Pruner, ws units.Bytes, stride int) (units.BytesPerSec, bool) {
@@ -106,8 +107,7 @@ func loadRequest(p *sweep.Pool, idx int, strides []int, wss []units.Bytes) surfa
 // transferRequest strides the remote side: the loads for Fetch, the
 // stores for Deposit.
 func transferRequest(p *sweep.Pool, src, dst int, mode machine.Mode, strides []int, wss []units.Bytes) surfaceRequest {
-	cal := p.Machine().Calibration()
-	return surfaceRequest{cal: cal, key: TransferSurfaceKey(cal, src, dst, mode, strides, wss),
+	return surfaceRequest{key: TransferSurfaceKey(p.Machine().Calibration(), src, dst, mode, strides, wss),
 		title: "remote transfer bandwidth, " + mode.String(), strides: strides, wss: wss,
 		sim: transferCell(src, dst, machine.Options{Mode: mode}, mode != machine.Deposit),
 		model: func(pr *analytic.Pruner, ws units.Bytes, stride int) (units.BytesPerSec, bool) {
@@ -137,9 +137,9 @@ func sweepSurface(p *sweep.Pool, r surfaceRequest, pruned bool) (*surface.Surfac
 	var pr *analytic.Pruner
 	if !hit {
 		s = surface.New(p.Machine().Name(), r.title, r.strides, r.wss)
-		s.CalHash = r.cal.Hash()
+		s.CalHash = r.key.CalHash
 		if pruned {
-			pr = analytic.NewPruner(r.cal)
+			pr = analytic.NewPruner(p.Machine().Calibration())
 		}
 	}
 
@@ -188,37 +188,14 @@ func sweepSurface(p *sweep.Pool, r surfaceRequest, pruned bool) (*surface.Surfac
 	return s, len(plan), nil
 }
 
-// sweepCurve runs the curve pipeline: a fixed working set, one cell
-// per stride. Curves are never partial, so the plan is all or
-// nothing. The working set is clamped to transferCap, the sample every
-// copy and transfer cell measures at most.
-func sweepCurve(p *sweep.Pool, key store.Key, title string, ws units.Bytes, strides []int, sim cell) (*surface.Curve, error) {
-	st := p.Store()
-	if st != nil {
-		if c, ok := st.GetCurve(key); ok {
-			return c, nil
-		}
-	}
-	ws = min(ws, transferCap)
-	c := &surface.Curve{Machine: p.Machine().Name(), Title: title,
-		CalHash: p.Machine().Calibration().Hash(),
-		Strides: append([]int(nil), strides...),
-		BW:      make([]units.BytesPerSec, len(strides))}
-	err := p.Run(len(strides), func(m machine.Machine, i int) error {
-		bw, err := sim(m, ws, strides[i])
-		if err != nil {
-			return err
-		}
-		c.BW[i] = bw
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if st != nil {
-		_ = st.PutCurve(key, c)
-	}
-	return c, nil
+// Sweep runs sim over strides x wss through the surface pipeline
+// under key, in full: stored simulated cells are served and the rest
+// simulated. The one-row curves below and the headline tables'
+// one-cell points enter the pipeline here.
+func Sweep(p *sweep.Pool, key store.Key, title string, strides []int, wss []units.Bytes, sim Cell) (*surface.Surface, error) {
+	s, _, err := sweepSurface(p, surfaceRequest{key: key, title: title,
+		strides: strides, wss: wss, sim: sim}, false)
+	return s, err
 }
 
 // LoadSurface sweeps LoadSum over the grid — Figures 1, 3, and 6.
@@ -255,22 +232,24 @@ func TransferSurfacePruned(p *sweep.Pool, src, dst int, mode machine.Mode, strid
 }
 
 // CopyCurve sweeps LocalCopy over strides at a fixed large working
-// set — Figures 9-11. stridedLoads selects which side is strided.
-func CopyCurve(p *sweep.Pool, idx int, ws units.Bytes, strides []int, stridedLoads bool) *surface.Curve {
+// set — Figures 9-11 — as a one-row surface. stridedLoads selects
+// which side is strided. The working set is clamped to transferCap.
+func CopyCurve(p *sweep.Pool, idx int, ws units.Bytes, strides []int, stridedLoads bool) *surface.Surface {
 	title := "local copy, contiguous loads/strided stores"
 	if stridedLoads {
 		title = "local copy, strided loads/contiguous stores"
 	}
 	key := CopyCurveKey(p.Machine().Calibration(), idx, ws, strides, stridedLoads)
 	// The copy kernel cannot fail; the pipeline's error is always nil.
-	c, _ := sweepCurve(p, key, title, ws, strides, copyCell(idx, stridedLoads))
-	return c
+	s, _ := Sweep(p, key, title, strides, curveRow(ws), copyCell(idx, stridedLoads))
+	return s
 }
 
 // TransferCurve sweeps remote transfers over strides at a fixed large
-// working set — Figures 12-14. stridedLoads selects whether the
-// source reads or the destination writes are strided.
-func TransferCurve(p *sweep.Pool, src, dst int, ws units.Bytes, strides []int, mode machine.Mode, stridedLoads bool, pipelined bool) (*surface.Curve, error) {
+// working set — Figures 12-14 — as a one-row surface. stridedLoads
+// selects whether the source reads or the destination writes are
+// strided.
+func TransferCurve(p *sweep.Pool, src, dst int, ws units.Bytes, strides []int, mode machine.Mode, stridedLoads bool, pipelined bool) (*surface.Surface, error) {
 	title := "remote copy, " + mode.String()
 	if stridedLoads {
 		title += ", strided loads/contiguous stores"
@@ -279,5 +258,5 @@ func TransferCurve(p *sweep.Pool, src, dst int, ws units.Bytes, strides []int, m
 	}
 	key := TransferCurveKey(p.Machine().Calibration(), src, dst, ws, strides, mode, stridedLoads, pipelined)
 	opt := machine.Options{Mode: mode, Pipelined: pipelined}
-	return sweepCurve(p, key, title, ws, strides, transferCell(src, dst, opt, stridedLoads))
+	return Sweep(p, key, title, strides, curveRow(ws), transferCell(src, dst, opt, stridedLoads))
 }

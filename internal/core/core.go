@@ -69,7 +69,8 @@ func (s Spec) String() string {
 
 // Characterization is the measured model of one machine: the load
 // surfaces of Figures 1/3/6, the transfer curves of Figures 12-14,
-// and the local copy curves of Figures 9-11.
+// and the local copy curves of Figures 9-11. A curve is a one-row
+// surface: the bandwidth over stride at one large working set.
 type Characterization struct {
 	MachineName string
 
@@ -78,18 +79,18 @@ type Characterization struct {
 
 	// LocalCopyStridedLoads / LocalCopyStridedStores are the
 	// large-transfer copy curves (Figures 9-11).
-	LocalCopyStridedLoads  *surface.Curve
-	LocalCopyStridedStores *surface.Curve
+	LocalCopyStridedLoads  *surface.Surface
+	LocalCopyStridedStores *surface.Surface
 
 	// RemoteFetch / RemoteDeposit are the remote transfer curves at
 	// a large working set, strided on the remote side (Figures
 	// 12-14). RemoteDeposit is nil on machines without deposits.
-	RemoteFetch   *surface.Curve
-	RemoteDeposit *surface.Curve
+	RemoteFetch   *surface.Surface
+	RemoteDeposit *surface.Surface
 
 	// BlockedFetch is the remote fetch curve under pipelined
 	// (cache-resident) blocking, where the machine distinguishes it.
-	BlockedFetch *surface.Curve
+	BlockedFetch *surface.Surface
 }
 
 // MeasureOptions tunes the sweep grids.
@@ -137,7 +138,8 @@ func Measure(p *sweep.Pool, opt MeasureOptions) *Characterization {
 }
 
 // Bandwidth estimates the bandwidth of a transfer described by s,
-// interpolating the measured grids.
+// interpolating the measured grids. The curves have one row, so the
+// working set selects nothing and the stride alone is interpolated.
 func (c *Characterization) Bandwidth(s Spec) (units.BytesPerSec, error) {
 	stride := s.LoadStride
 	if s.StoreStride > stride {
@@ -149,17 +151,17 @@ func (c *Characterization) Bandwidth(s Spec) (units.BytesPerSec, error) {
 	switch s.Locality {
 	case Local:
 		if s.LoadStride >= s.StoreStride {
-			return c.LocalCopyStridedLoads.At(stride), nil
+			return c.LocalCopyStridedLoads.At(s.WorkingSet, stride), nil
 		}
-		return c.LocalCopyStridedStores.At(stride), nil
+		return c.LocalCopyStridedStores.At(s.WorkingSet, stride), nil
 	case Remote:
 		switch {
 		case s.Mode == machine.Fetch && s.Blocked && c.BlockedFetch != nil:
-			return c.BlockedFetch.At(stride), nil
+			return c.BlockedFetch.At(s.WorkingSet, stride), nil
 		case s.Mode == machine.Fetch && c.RemoteFetch != nil:
-			return c.RemoteFetch.At(stride), nil
+			return c.RemoteFetch.At(s.WorkingSet, stride), nil
 		case s.Mode == machine.Deposit && c.RemoteDeposit != nil:
-			return c.RemoteDeposit.At(stride), nil
+			return c.RemoteDeposit.At(s.WorkingSet, stride), nil
 		}
 		return 0, fmt.Errorf("%s: no %v transfers on this machine", c.MachineName, s.Mode)
 	}

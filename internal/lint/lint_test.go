@@ -187,6 +187,21 @@ func TestStateresetSeededBugFailsRun(t *testing.T) {
 	t.Fatalf("no statereset finding names the leaked field, got %v", diags)
 }
 
+// TestStateresetMessagesAreCheckoutIndependent: a finding names its
+// write site relative to the package, never by absolute path, so two
+// checkouts print the same message.
+func TestStateresetMessagesAreCheckoutIndependent(t *testing.T) {
+	diags := Run([]*Package{loadFixture(t, "statereset_bad")}, []*Analyzer{Statereset})
+	if len(diags) == 0 {
+		t.Fatal("statereset_bad produced no findings")
+	}
+	for _, d := range diags {
+		if strings.Contains(d.Message, string(filepath.Separator)) {
+			t.Errorf("message holds a path: %s", d.Message)
+		}
+	}
+}
+
 // stripDirectives removes every //simlint:ignore comment from the
 // package's syntax, reporting whether any were present.
 func stripDirectives(pkg *Package) bool {

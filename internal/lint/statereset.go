@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -98,9 +99,12 @@ func runStatereset(p *ModulePass) {
 					continue
 				}
 				fix := zeroingFix(p, ix, closure, si, field, name.Name)
+				// The write site as file.go:line, so the message reads
+				// the same from every checkout.
+				at := p.Fset.Position(pos)
 				p.Report(name.Pos(), fix,
-					"field %s.%s is written during simulation (e.g. at %s) but no ColdReset path resets it; state leaks across sweep points",
-					si.Spec.Name.Name, name.Name, p.Fset.Position(pos))
+					"field %s.%s is written during simulation (e.g. at %s:%d) but no ColdReset path resets it; state leaks across sweep points",
+					si.Spec.Name.Name, name.Name, filepath.Base(at.Filename), at.Line)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/units"
@@ -281,5 +282,39 @@ func TestSpanArgRecordsDurationAndPayload(t *testing.T) {
 	evs = tr.Events()
 	if len(evs) != 2 || evs[1].Kind != InstantEvent || evs[1].Arg != 3 {
 		t.Errorf("instant-arg event: %+v", evs)
+	}
+}
+
+// TestLockedRegistryConcurrentTallies: eight goroutines Add and Inc
+// known amounts; Get and Snapshot must read back every one.
+func TestLockedRegistryConcurrentTallies(t *testing.T) {
+	const workers, rounds = 8, 200
+	l := NewLockedRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				l.Add("serve.bytes", int64(w+1))
+				l.Inc("serve.requests")
+			}
+		}(w)
+	}
+	wg.Wait()
+	wantBytes := int64(rounds * workers * (workers + 1) / 2)
+	wantReqs := int64(rounds * workers)
+	if got := l.Get("serve.bytes"); got != wantBytes {
+		t.Errorf("Get(serve.bytes) = %d, want %d", got, wantBytes)
+	}
+	if got := l.Get("serve.requests"); got != wantReqs {
+		t.Errorf("Get(serve.requests) = %d, want %d", got, wantReqs)
+	}
+	snap := l.Snapshot()
+	if got := snap.Count("serve.bytes"); got != wantBytes {
+		t.Errorf("Snapshot serve.bytes = %d, want %d", got, wantBytes)
+	}
+	if got := snap.Count("serve.requests"); got != wantReqs {
+		t.Errorf("Snapshot serve.requests = %d, want %d", got, wantReqs)
 	}
 }

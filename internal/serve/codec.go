@@ -158,8 +158,12 @@ type SurfacesResponse struct {
 	Surfaces []SurfaceInfo `json:"surfaces"`
 }
 
-// SurfaceSliceResponse is one artifact's data: curves fill BW,
-// surfaces fill WorkingSets/Grid/Sources.
+// kindSurface is the kind of every stored artifact: the store holds
+// surfaces only, a fixed-working-set curve being a one-row one.
+const kindSurface = "surface"
+
+// SurfaceSliceResponse is one stored surface's data; a
+// fixed-working-set curve is a one-row grid.
 type SurfaceSliceResponse struct {
 	Key         string      `json:"key"`
 	Machine     string      `json:"machine"`
@@ -169,7 +173,6 @@ type SurfaceSliceResponse struct {
 	CalHash     string      `json:"cal_hash"`
 	Strides     []int       `json:"strides"`
 	WorkingSets []int64     `json:"working_sets,omitempty"`
-	BW          []float64   `json:"bw_mbps,omitempty"`
 	Grid        [][]float64 `json:"bw_mbps_grid,omitempty"`
 	Sources     [][]string  `json:"sources,omitempty"`
 }

@@ -218,7 +218,7 @@ func (s *Server) handleSurfaces(w http.ResponseWriter, r *http.Request) int {
 	for _, e := range entries {
 		resp.Surfaces = append(resp.Surfaces, SurfaceInfo{
 			Key: e.File, Machine: e.Machine, Pattern: e.Pattern,
-			Kind: e.Kind.String(), Cells: int(e.Cells), Simulated: int(e.Simulated),
+			Kind: kindSurface, Cells: int(e.Cells), Simulated: int(e.Simulated),
 			CalHash: hex16(e.CalHash),
 		})
 	}
@@ -231,41 +231,27 @@ func (s *Server) handleSurfaceSlice(w http.ResponseWriter, r *http.Request) int 
 	if !ok {
 		return writeError(w, http.StatusNotFound, CodeUnknownKey, "no stored artifact %q", key)
 	}
+	surf, ok := s.catalog.GetSurface(e.Key())
+	if !ok {
+		return writeError(w, http.StatusNotFound, CodeUnknownKey, "artifact %q is no longer readable", key)
+	}
 	resp := SurfaceSliceResponse{
 		Key: e.File, Machine: e.Machine, Pattern: e.Pattern,
-		Kind: e.Kind.String(), CalHash: hex16(e.CalHash),
+		Kind: kindSurface, CalHash: hex16(e.CalHash),
+		Title: surf.Title, Strides: surf.Strides,
 	}
-	switch e.Kind {
-	case store.KindSurface:
-		surf, ok := s.catalog.GetSurface(e.Key())
-		if !ok {
-			return writeError(w, http.StatusNotFound, CodeUnknownKey, "artifact %q is no longer readable", key)
+	for _, ws := range surf.WorkingSets {
+		resp.WorkingSets = append(resp.WorkingSets, int64(ws))
+	}
+	for wi := range surf.BW {
+		row := make([]float64, len(surf.BW[wi]))
+		src := make([]string, len(surf.BW[wi]))
+		for si := range surf.BW[wi] {
+			row[si] = surf.BW[wi][si].MBps()
+			src[si] = surf.SourceAt(wi, si).String()
 		}
-		resp.Title = surf.Title
-		resp.Strides = surf.Strides
-		for _, ws := range surf.WorkingSets {
-			resp.WorkingSets = append(resp.WorkingSets, int64(ws))
-		}
-		for wi := range surf.BW {
-			row := make([]float64, len(surf.BW[wi]))
-			src := make([]string, len(surf.BW[wi]))
-			for si := range surf.BW[wi] {
-				row[si] = surf.BW[wi][si].MBps()
-				src[si] = surf.SourceAt(wi, si).String()
-			}
-			resp.Grid = append(resp.Grid, row)
-			resp.Sources = append(resp.Sources, src)
-		}
-	default:
-		cur, ok := s.catalog.GetCurve(e.Key())
-		if !ok {
-			return writeError(w, http.StatusNotFound, CodeUnknownKey, "artifact %q is no longer readable", key)
-		}
-		resp.Title = cur.Title
-		resp.Strides = cur.Strides
-		for _, bw := range cur.BW {
-			resp.BW = append(resp.BW, bw.MBps())
-		}
+		resp.Grid = append(resp.Grid, row)
+		resp.Sources = append(resp.Sources, src)
 	}
 	return writeJSON(w, http.StatusOK, resp)
 }

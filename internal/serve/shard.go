@@ -140,28 +140,35 @@ func (sh *shard) buildChar() {
 	sh.prov = prov
 }
 
+// analyticRow allocates the one-row surface of an analytic curve
+// synthesis, every cell tagged Analytic.
+func (sh *shard) analyticRow(title string) *surface.Surface {
+	opt := sh.grid
+	cur := surface.New(sh.display, title, opt.Strides, []units.Bytes{opt.CopyWS})
+	cur.CalHash = sh.q.Hash()
+	for si := range opt.Strides {
+		cur.SetSource(0, si, surface.Analytic)
+	}
+	return cur
+}
+
 // copyCurve returns the local copy curve for one strided side: the
 // stored sweep artifact when present, else an analytic synthesis —
 // load and store phases composed serially through the load model.
-func (sh *shard) copyCurve(stridedLoads bool) (*surface.Curve, store.Confidence) {
+func (sh *shard) copyCurve(stridedLoads bool) (*surface.Surface, store.Confidence) {
 	opt := sh.grid
 	key := bench.CopyCurveKey(sh.cal, 0, opt.CopyWS, opt.Strides, stridedLoads)
-	if cur, ok := sh.st.GetCurve(key); ok {
-		return cur, store.Exact
+	if cur, ok := sh.st.GetSurface(key); ok {
+		return cur, surfaceConfidence(cur)
 	}
-	cur := &surface.Curve{
-		Machine: sh.display, Title: "analytic local copy",
-		CalHash: sh.q.Hash(),
-		Strides: append([]int(nil), opt.Strides...),
-		BW:      make([]units.BytesPerSec, len(opt.Strides)),
-	}
+	cur := sh.analyticRow("analytic local copy")
 	model := sh.q.Model()
 	for i, stride := range opt.Strides {
 		load, stores := stride, 1
 		if !stridedLoads {
 			load, stores = 1, stride
 		}
-		cur.BW[i] = serialBW(model.LoadBW(opt.CopyWS, load), model.LoadBW(opt.CopyWS, stores))
+		cur.Set(0, i, serialBW(model.LoadBW(opt.CopyWS, load), model.LoadBW(opt.CopyWS, stores)))
 	}
 	return cur, store.Analytic
 }
@@ -171,26 +178,21 @@ func (sh *shard) copyCurve(stridedLoads bool) (*surface.Curve, store.Confidence)
 // false when the machine supports neither (e.g. deposit on the 8400),
 // which leaves the planner strategy unavailable — matching what
 // core.Measure produces against the simulator.
-func (sh *shard) transferCurve(mode machine.Mode, stridedLoads, pipelined bool) (*surface.Curve, store.Confidence, bool) {
+func (sh *shard) transferCurve(mode machine.Mode, stridedLoads, pipelined bool) (*surface.Surface, store.Confidence, bool) {
 	opt := sh.grid
 	key := bench.TransferCurveKey(sh.cal, 0, sh.partner, opt.CopyWS, opt.Strides, mode, stridedLoads, pipelined)
-	if cur, ok := sh.st.GetCurve(key); ok {
-		return cur, store.Exact, true
+	if cur, ok := sh.st.GetSurface(key); ok {
+		return cur, surfaceConfidence(cur), true
 	}
 	// The closed form does not model pipelined chunking; the plain
 	// mode curve stands in, still honestly tagged analytic.
-	cur := &surface.Curve{
-		Machine: sh.display, Title: "analytic remote copy, " + mode.String(),
-		CalHash: sh.q.Hash(),
-		Strides: append([]int(nil), opt.Strides...),
-		BW:      make([]units.BytesPerSec, len(opt.Strides)),
-	}
+	cur := sh.analyticRow("analytic remote copy, " + mode.String())
 	for i, stride := range opt.Strides {
 		bw, err := sh.q.Model().TransferBW(mode, opt.CopyWS, stride)
 		if err != nil {
 			return nil, store.Analytic, false
 		}
-		cur.BW[i] = bw
+		cur.Set(0, i, bw)
 	}
 	return cur, store.Analytic, true
 }
@@ -240,7 +242,7 @@ func (sh *shard) stepComponent(sp core.Spec) string {
 
 // stepConfidence grades one planner step: the component curve's base
 // provenance, degraded to Interpolated when an exact curve is read
-// off-grid (Curve.At interpolates between measured strides).
+// off-grid (Surface.At interpolates between measured strides).
 func (sh *shard) stepConfidence(sp core.Spec) store.Confidence {
 	base, ok := sh.prov[sh.stepComponent(sp)]
 	if !ok {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/surface"
-	"repro/internal/units"
 )
 
 // These tests pin the store's corruption accounting: every degraded
@@ -47,24 +46,6 @@ func seedSurface(t *testing.T, dir string) (Key, *surface.Surface, machine.Calib
 		t.Fatalf("PutSurface: %v", err)
 	}
 	return k, s, cal
-}
-
-func TestStatsKindMismatchInCacheCountsMiss(t *testing.T) {
-	dir := t.TempDir()
-	cal := machine.NewT3D(1).Calibration()
-	st := openTest(t, dir)
-	if err := st.PutSurface(testKey(cal), testSurface(cal)); err != nil {
-		t.Fatalf("PutSurface: %v", err)
-	}
-	// The entry is warm in the LRU as a surface; asking for a curve
-	// under the same key must miss without touching disk.
-	if _, ok := st.GetCurve(testKey(cal)); ok {
-		t.Fatal("GetCurve served a cached surface")
-	}
-	stats := st.Stats()
-	if stats.Misses != 1 || stats.MemHits != 0 || stats.DiskHits != 0 {
-		t.Errorf("kind mismatch accounting: %+v, want exactly one miss", stats)
-	}
 }
 
 func TestStatsUnreadableArtifactQuarantinesAndMisses(t *testing.T) {
@@ -155,53 +136,5 @@ func TestStatsGridDriftQuarantinesAndMisses(t *testing.T) {
 	stats := st.Stats()
 	if stats.Misses != 1 || stats.Quarantined != 1 || stats.StaleDrops != 0 {
 		t.Errorf("grid drift accounting: %+v, want one miss and one quarantine", stats)
-	}
-}
-
-// seedCurve puts one curve and returns its key and curve.
-func seedCurve(t *testing.T, dir string) (Key, *surface.Curve) {
-	t.Helper()
-	cal := machine.NewT3E(1).Calibration()
-	c := &surface.Curve{Machine: cal.Machine, Title: "test copy",
-		CalHash: cal.Hash(),
-		Strides: []int{1, 2, 4},
-		BW:      []units.BytesPerSec{3e8, 2e8, 1e8}}
-	k := CurveKey(cal, PatternCopy, "sl", 0, 0, c.Strides, 8*units.MB)
-	st := openTest(t, dir)
-	if err := st.PutCurve(k, c); err != nil {
-		t.Fatalf("PutCurve: %v", err)
-	}
-	return k, c
-}
-
-func TestStatsUndecodableCurveQuarantinesAndMisses(t *testing.T) {
-	dir := t.TempDir()
-	k, _ := seedCurve(t, dir)
-	st := plantSurface(t, dir, k, []byte("not a curve snapshot"))
-	if _, ok := st.GetCurve(k); ok {
-		t.Fatal("GetCurve served undecodable bytes")
-	}
-	stats := st.Stats()
-	if stats.Misses != 1 || stats.Quarantined != 1 || stats.StaleDrops != 0 {
-		t.Errorf("undecodable curve accounting: %+v, want one miss and one quarantine", stats)
-	}
-}
-
-func TestStatsStaleCurveCountsStaleDropAndMiss(t *testing.T) {
-	dir := t.TempDir()
-	k, c := seedCurve(t, dir)
-	stale := *c
-	stale.CalHash = c.CalHash + 1
-	raw, err := stale.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	st := plantSurface(t, dir, k, raw)
-	if _, ok := st.GetCurve(k); ok {
-		t.Fatal("GetCurve served a stale-calibration curve")
-	}
-	stats := st.Stats()
-	if stats.StaleDrops != 1 || stats.Misses != 1 || stats.Quarantined != 1 {
-		t.Errorf("stale curve accounting: %+v, want one stale drop, miss, and quarantine", stats)
 	}
 }

@@ -8,7 +8,7 @@ import "sort"
 // byte-stable run to run.
 
 // Entries returns a copy of the manifest, sorted by (Machine,
-// Pattern, Kind, GridSig, CalHash). The File names inside are unique
+// Pattern, GridSig, CalHash). The File names inside are unique
 // per entry and stable, which is what lets a caller use them as
 // artifact keys (memserve's /v1/surfaces/{key}).
 func (s *Store) Entries() []Entry {
@@ -22,9 +22,6 @@ func (s *Store) Entries() []Entry {
 		}
 		if a.Pattern != b.Pattern {
 			return a.Pattern < b.Pattern
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
 		}
 		if a.GridSig != b.GridSig {
 			return a.GridSig < b.GridSig

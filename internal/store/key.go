@@ -1,14 +1,16 @@
 // Package store is the persistent, content-addressed surface store:
-// the fast face of the characterization. Every sweep artifact — a
-// stride x working-set bandwidth surface or a fixed-working-set curve
-// — is keyed by the machine calibration it was measured from, the
-// access pattern, and a signature of the sweep grid, and persisted as
-// a byte-stable snapshot under a store directory next to a versioned
-// manifest. An in-memory LRU serves repeated lookups without touching
-// the disk, and the sweep layer (sweep.Pool + bench) consults the
-// store before simulating: a whole-surface hit is free, a
-// partially-simulated surface (a pruned sweep's artifact) costs only
-// its cold cells, and a calibration change misses everything.
+// the fast face of the characterization. It holds one artifact kind,
+// the stride x working-set bandwidth surface; a fixed-working-set
+// stride sweep (Figures 9-14, the headline table points) is a
+// one-row surface. Every surface is keyed by the machine calibration
+// it was measured from, the access pattern, and a signature of the
+// sweep grid, and persisted as a byte-stable snapshot under a store
+// directory next to a versioned manifest. An in-memory LRU serves
+// repeated lookups without touching the disk, and the sweep layer
+// (sweep.Pool + bench) consults the store before simulating: a
+// whole-surface hit is free, a partially-simulated surface (a pruned
+// sweep's artifact) costs only its cold cells, and a calibration
+// change misses everything.
 //
 // The store's invariants:
 //
@@ -54,6 +56,30 @@ const (
 	PatternRemoteCopy Pattern = "remotecopy"
 )
 
+// With composes a key's pattern string: the family, then the
+// variant when it is not empty (the transfer mode and any fixed sweep
+// parameters), then "@" and the node indices joined by "-". For
+// example "load@0", "transfer-fetch@0-1", "copy-sl@0",
+// "remotecopy-fetch-sl-p@0-1" and "load-pt@0". With no nodes it is
+// the prefix every pattern of that family and variant starts with.
+func (p Pattern) With(variant string, nodes ...int) string {
+	var b strings.Builder
+	b.Grow(len(p) + len(variant) + 8)
+	b.WriteString(string(p))
+	if variant != "" {
+		b.WriteByte('-')
+		b.WriteString(variant)
+	}
+	b.WriteByte('@')
+	for i, n := range nodes {
+		if i > 0 {
+			b.WriteByte('-')
+		}
+		b.WriteString(strconv.Itoa(n))
+	}
+	return b.String()
+}
+
 // Key is the content address of one stored artifact: calibration
 // hash x pattern x grid signature. Two sweeps with the same key
 // compute, cell for cell, the same deterministic result, which is
@@ -62,13 +88,12 @@ type Key struct {
 	// Machine is the machine's display name (Calibration.Machine).
 	Machine string
 	// Pattern names the benchmark family, with the transfer mode and
-	// any fixed sweep parameters folded in by the helpers below
-	// (e.g. "transfer-fetch@0-1", "copy-sl@0").
+	// any fixed sweep parameters folded in (Pattern.With).
 	Pattern string
 	// CalHash is the machine calibration hash the sweep ran under.
 	CalHash uint64
 	// GridSig digests the sweep grid: the stride axis and the
-	// working-set axis (or the fixed working set of a curve).
+	// working-set axis.
 	GridSig uint64
 }
 
@@ -111,56 +136,21 @@ func SurfaceGridSig(strides []int, wss []units.Bytes) uint64 {
 	return uint64(h)
 }
 
-// CurveGridSig digests a curve sweep grid: the stride axis and the
-// single fixed working set. The leading tag keeps a one-row surface
-// and a curve over the same axes from colliding.
-func CurveGridSig(strides []int, ws units.Bytes) uint64 {
-	h := fnvOffset.byte('C')
-	h = h.u64(uint64(len(strides)))
-	for _, s := range strides {
-		h = h.u64(uint64(int64(s)))
-	}
-	h = h.u64(uint64(int64(ws)))
-	return uint64(h)
-}
-
 // Checksum digests a snapshot file's bytes — the manifest's
 // corruption check. A bit flip in stored bandwidth data decodes
 // cleanly, so codec validation alone cannot catch it; the checksum
 // does.
 func Checksum(p []byte) uint64 { return uint64(fnvOffset.bytes(p)) }
 
-// SurfaceKey builds the key of a load or transfer surface sweep.
-// mode is ignored for PatternLoad; idx names the sweeping node (src
-// for transfers) and dst the transfer destination.
-func SurfaceKey(cal machine.Calibration, p Pattern, mode machine.Mode, idx, dst int, strides []int, wss []units.Bytes) Key {
-	pat := string(p)
-	if p == PatternTransfer {
-		pat += "-" + mode.String() + "@" + itoa(idx) + "-" + itoa(dst)
-	} else {
-		pat += "@" + itoa(idx)
-	}
+// NewKey is the one key recipe: the machine and calibration hash of
+// cal, the pattern string (Pattern.With), and the signature of the
+// sweep grid.
+func NewKey(cal machine.Calibration, pattern string, strides []int, wss []units.Bytes) Key {
 	return Key{
 		Machine: cal.Machine,
-		Pattern: pat,
+		Pattern: pattern,
 		CalHash: cal.Hash(),
 		GridSig: SurfaceGridSig(strides, wss),
-	}
-}
-
-// CurveKey builds the key of a fixed-working-set stride sweep. The
-// variant string folds in the sweep's remaining shape parameters —
-// which side is strided, the mode, pipelining — e.g. "sl", "fetch-ss-p".
-func CurveKey(cal machine.Calibration, p Pattern, variant string, idx, dst int, strides []int, ws units.Bytes) Key {
-	pat := string(p) + "-" + variant + "@" + itoa(idx)
-	if p == PatternRemoteCopy {
-		pat += "-" + itoa(dst)
-	}
-	return Key{
-		Machine: cal.Machine,
-		Pattern: pat,
-		CalHash: cal.Hash(),
-		GridSig: CurveGridSig(strides, ws),
 	}
 }
 
@@ -189,5 +179,3 @@ func sanitize(s string) string {
 }
 
 func hex16(v uint64) string { return fmt.Sprintf("%016x", v) }
-
-func itoa(v int) string { return strconv.Itoa(v) }

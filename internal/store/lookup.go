@@ -99,11 +99,13 @@ func (q *Querier) Lookup(p Pattern, mode machine.Mode, ws units.Bytes, stride in
 
 // surfacesFor collects the stored surfaces whose key matches the
 // query's machine, calibration hash, and pattern family, in manifest
-// order.
+// order. The family prefix ("load@", "transfer-fetch@") matches the
+// full-grid sweeps only: the one-row artifacts belong to other
+// families or carry a variant ("copy-sl@0", "load-pt@0").
 func (s *Store) surfacesFor(machineName string, hash uint64, p Pattern, mode machine.Mode) []*surface.Surface {
-	prefix := string(p) + "@"
+	prefix := p.With("")
 	if p == PatternTransfer {
-		prefix = string(p) + "-" + mode.String() + "@"
+		prefix = p.With(mode.String())
 	}
 
 	s.mu.Lock()
@@ -114,15 +116,14 @@ func (s *Store) surfacesFor(machineName string, hash uint64, p Pattern, mode mac
 	var keys []Key
 	for i := range s.man.Entries {
 		e := &s.man.Entries[i]
-		if e.Kind != KindSurface || e.Machine != machineName ||
-			e.CalHash != hash || !strings.HasPrefix(e.Pattern, prefix) {
+		if e.Machine != machineName || e.CalHash != hash || !strings.HasPrefix(e.Pattern, prefix) {
 			continue
 		}
 		keys = append(keys, e.Key())
 	}
 	for _, k := range keys {
-		if c, ok := s.load(k, KindSurface); ok && c.surface != nil {
-			out = append(out, c.surface)
+		if surf, ok := s.load(k); ok {
+			out = append(out, surf)
 		}
 	}
 	return out

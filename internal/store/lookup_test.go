@@ -32,7 +32,7 @@ func lookupFixture(t *testing.T) (*Store, machine.Calibration, *surface.Surface)
 		}
 	}
 	st := openTest(t, t.TempDir())
-	k := SurfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, strides, wss)
+	k := surfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, strides, wss)
 	if err := st.PutSurface(k, s); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestLookupRegimeBoundaryFallsBack(t *testing.T) {
 		}
 	}
 	st := openTest(t, t.TempDir())
-	k := SurfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, strides, wss)
+	k := surfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, strides, wss)
 	if err := st.PutSurface(k, s); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestLookupRegimeBoundaryFallsBack(t *testing.T) {
 func TestLookupRefusesAnalyticCells(t *testing.T) {
 	st, cal, s := lookupFixture(t)
 	s.SetSource(1, 2, surface.Analytic)
-	k := SurfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, s.Strides, s.WorkingSets)
+	k := surfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, s.Strides, s.WorkingSets)
 	if err := st.PutSurface(k, s); err != nil {
 		t.Fatal(err)
 	}

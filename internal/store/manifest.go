@@ -6,8 +6,8 @@ import (
 )
 
 // The manifest is the store's index: one entry per persisted
-// artifact, carrying the full key, the artifact kind, the cell
-// provenance tally, and a checksum of the snapshot file's bytes. It
+// surface, carrying the full key, the cell provenance tally, and a
+// checksum of the snapshot file's bytes. It
 // is itself a versioned byte-stable snapshot — identical stores
 // marshal to identical manifests — so a store directory can be
 // diffed, golden-tested, and safely rewritten in place.
@@ -22,11 +22,14 @@ import (
 // A manifest that fails to decode — truncated, bit-flipped, wrong
 // version — quarantines aside and the store opens empty; the
 // artifacts it indexed are re-simulated or re-adopted by later
-// writes. Never a crash, never a stale serve.
+// writes. Never a crash, never a stale serve. Version 1 entries
+// carried a kind byte (surface or curve); version 2 dropped it when
+// the fixed-working-set curves became one-row surfaces, so a version
+// 1 manifest quarantines like any other undecodable one.
 
 const (
 	manifestMagic   = "SSTM"
-	manifestVersion = 1
+	manifestVersion = 2
 	// manifestName is the manifest's file name within a store
 	// directory.
 	manifestName = "manifest.bin"
@@ -34,26 +37,6 @@ const (
 	// corrupt prefix cannot demand a giant allocation.
 	maxManifestElems = 1 << 24
 )
-
-// Kind distinguishes the two artifact shapes a store holds.
-type Kind uint8
-
-const (
-	// KindSurface is a stride x working-set surface snapshot.
-	KindSurface Kind = iota
-	// KindCurve is a fixed-working-set stride curve snapshot.
-	KindCurve
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindSurface:
-		return "surface"
-	case KindCurve:
-		return "curve"
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
 
 // Manifest indexes every artifact of one store directory.
 //
@@ -73,9 +56,7 @@ type Entry struct {
 	Pattern string
 	CalHash uint64
 	GridSig uint64
-	// Kind is the artifact shape (surface or curve).
-	Kind Kind
-	// Cells is the artifact's total cell count; Simulated counts the
+	// Cells is the surface's total cell count; Simulated counts the
 	// cells whose provenance is the simulator (the rest are analytic
 	// fills from a pruned sweep). Simulated == Cells marks a complete
 	// surface.
@@ -153,7 +134,6 @@ func (e *Entry) MarshalBinary() ([]byte, error) {
 	buf = appendManString(buf, e.Pattern)
 	buf = binary.LittleEndian.AppendUint64(buf, e.CalHash)
 	buf = binary.LittleEndian.AppendUint64(buf, e.GridSig)
-	buf = append(buf, byte(e.Kind))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Cells))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Simulated))
 	buf = binary.LittleEndian.AppendUint64(buf, e.Checksum)
@@ -173,10 +153,6 @@ func (e *Entry) UnmarshalBinary(data []byte) error {
 	pattern := r.str()
 	calHash := r.u64()
 	gridSig := r.u64()
-	kind := Kind(r.u8())
-	if r.err == nil && kind > KindCurve {
-		return fmt.Errorf("store manifest entry: unknown kind %d", kind)
-	}
 	cells := int64(r.u64())
 	simulated := int64(r.u64())
 	checksum := r.u64()
@@ -194,7 +170,6 @@ func (e *Entry) UnmarshalBinary(data []byte) error {
 	e.Pattern = pattern
 	e.CalHash = calHash
 	e.GridSig = gridSig
-	e.Kind = kind
 	e.Cells = cells
 	e.Simulated = simulated
 	e.Checksum = checksum
@@ -224,14 +199,6 @@ func (r *manReader) take(n int) []byte {
 	b := r.data[r.off : r.off+n]
 	r.off += n
 	return b
-}
-
-func (r *manReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
 }
 
 func (r *manReader) u16() uint16 {
@@ -271,9 +238,13 @@ func (r *manReader) str() string {
 	return string(r.take(int(r.u32prefix())))
 }
 
-// count reads a bounded element count.
+// count reads the entry count, bounded by the bytes left: every
+// entry takes at least its 4-byte length prefix.
 func (r *manReader) count() int {
 	n := r.u32prefix()
+	if r.err == nil && int(n) > (len(r.data)-r.off)/4 {
+		r.err = fmt.Errorf("store manifest: %d entries exceed the %d remaining bytes", n, len(r.data)-r.off)
+	}
 	if r.err != nil {
 		return 0
 	}

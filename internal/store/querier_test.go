@@ -23,15 +23,15 @@ func lookupOracle(s *Store, cal machine.Calibration, p Pattern, mode machine.Mod
 	s.mu.Lock()
 	var keys []Key
 	for _, e := range s.man.Entries {
-		if e.Kind == KindSurface && e.Machine == cal.Machine &&
+		if e.Machine == cal.Machine &&
 			e.CalHash == cal.Hash() && strings.HasPrefix(e.Pattern, prefix) {
 			keys = append(keys, e.Key())
 		}
 	}
 	var surfs []*surface.Surface
 	for _, k := range keys {
-		if c, ok := s.load(k, KindSurface); ok && c.surface != nil {
-			surfs = append(surfs, c.surface)
+		if surf, ok := s.load(k); ok {
+			surfs = append(surfs, surf)
 		}
 	}
 	s.mu.Unlock()
@@ -67,7 +67,7 @@ func querierStore(t *testing.T, cals []machine.Calibration) *Store {
 			}
 		}
 		s.SetSource(1, 1, surface.Analytic)
-		if err := st.PutSurface(SurfaceKey(cal, p, mode, g, 0, strides, wss), s); err != nil {
+		if err := st.PutSurface(surfaceKey(cal, p, mode, g, 0, strides, wss), s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func testQuerierSeesLaterPuts(t *testing.T) {
 			s.Set(wi, si, units.BytesPerSec(1e8*float64(wi+si+1)))
 		}
 	}
-	if err := st.PutSurface(SurfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, strides, wss), s); err != nil {
+	if err := st.PutSurface(surfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, strides, wss), s); err != nil {
 		t.Fatal(err)
 	}
 	after, err := q.Lookup(PatternLoad, machine.Fetch, ws, stride)

@@ -12,9 +12,9 @@ import (
 )
 
 // DefaultCacheEntries is the in-memory LRU capacity when Options
-// leaves it zero. The full figure set is 8 surfaces + 13 curves per
-// run plus the characterization grids, so 64 holds several machines'
-// worth of artifacts decoded.
+// leaves it zero. The full figure set is 8 full and 13 one-row
+// surfaces per run plus the characterization grids, so 64 holds
+// several machines' worth of artifacts decoded.
 const DefaultCacheEntries = 64
 
 // Options tunes a store.
@@ -164,38 +164,23 @@ func (s *Store) Len() int {
 func (s *Store) GetSurface(k Key) (*surface.Surface, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.load(k, KindSurface)
-	if !ok || c.surface == nil {
+	surf, ok := s.load(k)
+	if !ok {
 		return nil, false
 	}
-	return cloneSurface(c.surface), true
-}
-
-// GetCurve returns a copy of the stored curve for k.
-func (s *Store) GetCurve(k Key) (*surface.Curve, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.load(k, KindCurve)
-	if !ok || c.curve == nil {
-		return nil, false
-	}
-	return cloneCurve(c.curve), true
+	return cloneSurface(surf), true
 }
 
 // load looks k up through the LRU, then the manifest and disk,
-// verifying kind, checksum, calibration hash, and grid signature.
-// Callers hold s.mu.
-func (s *Store) load(k Key, kind Kind) (*cachedSurface, bool) {
-	if c, ok := s.lru.get(k); ok {
-		if (kind == KindSurface) != (c.surface != nil) {
-			s.misses.Inc()
-			return nil, false
-		}
+// verifying checksum, calibration hash, and grid signature. Callers
+// hold s.mu.
+func (s *Store) load(k Key) (*surface.Surface, bool) {
+	if surf, ok := s.lru.get(k); ok {
 		s.memHits.Inc()
-		return c, true
+		return surf, true
 	}
 	idx, ok := s.byKey[k]
-	if !ok || s.man.Entries[idx].Kind != kind {
+	if !ok {
 		s.misses.Inc()
 		return nil, false
 	}
@@ -211,46 +196,27 @@ func (s *Store) load(k Key, kind Kind) (*cachedSurface, bool) {
 		s.misses.Inc()
 		return nil, false
 	}
-	c := &cachedSurface{}
-	switch kind {
-	case KindSurface:
-		surf := &surface.Surface{}
-		if err := surf.UnmarshalBinary(data); err != nil {
-			s.dropEntry(k, e.File, err)
-			s.misses.Inc()
-			return nil, false
-		}
-		if surf.CalHash != k.CalHash {
-			// A stale artifact under a current key: never serve it.
-			s.staleDrops.Inc()
-			s.dropEntry(k, e.File, fmt.Errorf("calibration hash %016x does not match key %016x", surf.CalHash, k.CalHash))
-			s.misses.Inc()
-			return nil, false
-		}
-		if SurfaceGridSig(surf.Strides, surf.WorkingSets) != k.GridSig {
-			s.dropEntry(k, e.File, fmt.Errorf("grid signature mismatch"))
-			s.misses.Inc()
-			return nil, false
-		}
-		c.surface = surf
-	case KindCurve:
-		cur := &surface.Curve{}
-		if err := cur.UnmarshalBinary(data); err != nil {
-			s.dropEntry(k, e.File, err)
-			s.misses.Inc()
-			return nil, false
-		}
-		if cur.CalHash != k.CalHash {
-			s.staleDrops.Inc()
-			s.dropEntry(k, e.File, fmt.Errorf("calibration hash %016x does not match key %016x", cur.CalHash, k.CalHash))
-			s.misses.Inc()
-			return nil, false
-		}
-		c.curve = cur
+	surf := &surface.Surface{}
+	if err := surf.UnmarshalBinary(data); err != nil {
+		s.dropEntry(k, e.File, err)
+		s.misses.Inc()
+		return nil, false
+	}
+	if surf.CalHash != k.CalHash {
+		// A stale artifact under a current key: never serve it.
+		s.staleDrops.Inc()
+		s.dropEntry(k, e.File, fmt.Errorf("calibration hash %016x does not match key %016x", surf.CalHash, k.CalHash))
+		s.misses.Inc()
+		return nil, false
+	}
+	if SurfaceGridSig(surf.Strides, surf.WorkingSets) != k.GridSig {
+		s.dropEntry(k, e.File, fmt.Errorf("grid signature mismatch"))
+		s.misses.Inc()
+		return nil, false
 	}
 	s.diskHits.Inc()
-	s.insertLRU(k, c)
-	return c, true
+	s.insertLRU(k, surf)
+	return surf, true
 }
 
 // PutSurface persists surf under k and indexes it. The surface is
@@ -268,29 +234,7 @@ func (s *Store) PutSurface(k Key, surf *surface.Surface) error {
 	simulated := int64(clone.CountSource(surface.Simulated))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.put(k, KindSurface, data, cells, simulated, &cachedSurface{surface: clone})
-}
-
-// PutCurve persists cur under k and indexes it.
-func (s *Store) PutCurve(k Key, cur *surface.Curve) error {
-	if cur.CalHash != k.CalHash {
-		return fmt.Errorf("store: curve calibration hash %016x does not match key %016x", cur.CalHash, k.CalHash)
-	}
-	clone := cloneCurve(cur)
-	data, err := clone.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	cells := int64(len(clone.Strides))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.put(k, KindCurve, data, cells, cells, &cachedSurface{curve: clone})
-}
-
-// put writes the artifact file atomically, updates the manifest, and
-// caches the decoded clone. Callers hold s.mu.
-func (s *Store) put(k Key, kind Kind, data []byte, cells, simulated int64, c *cachedSurface) error {
-	name := k.filename() + ext(kind)
+	name := k.filename() + ".surf"
 	if err := writeFileAtomic(filepath.Join(s.dir, name), data); err != nil {
 		return err
 	}
@@ -298,7 +242,6 @@ func (s *Store) put(k Key, kind Kind, data []byte, cells, simulated int64, c *ca
 		File:    name,
 		Machine: k.Machine, Pattern: k.Pattern,
 		CalHash: k.CalHash, GridSig: k.GridSig,
-		Kind:  kind,
 		Cells: cells, Simulated: simulated,
 		Checksum: Checksum(data),
 	}
@@ -312,20 +255,14 @@ func (s *Store) put(k Key, kind Kind, data []byte, cells, simulated int64, c *ca
 		return err
 	}
 	s.writes.Inc()
-	s.insertLRU(k, c)
+	s.insertLRU(k, clone)
 	return nil
 }
 
-func ext(kind Kind) string {
-	if kind == KindCurve {
-		return ".curv"
-	}
-	return ".surf"
-}
-
-// insertLRU caches c under k, tallying evictions. Callers hold s.mu.
-func (s *Store) insertLRU(k Key, c *cachedSurface) {
-	s.evictions.Add(int64(s.lru.put(k, c)))
+// insertLRU caches surf under k, tallying evictions. Callers hold
+// s.mu.
+func (s *Store) insertLRU(k Key, surf *surface.Surface) {
+	s.evictions.Add(int64(s.lru.put(k, surf)))
 }
 
 // dropEntry quarantines the artifact file and removes its manifest
@@ -407,13 +344,4 @@ func cloneSurface(s *surface.Surface) *surface.Surface {
 		out.Source[i] = append([]surface.Source(nil), row...)
 	}
 	return out
-}
-
-// cloneCurve deep-copies a curve.
-func cloneCurve(c *surface.Curve) *surface.Curve {
-	return &surface.Curve{
-		Machine: c.Machine, Title: c.Title, CalHash: c.CalHash,
-		Strides: append([]int(nil), c.Strides...),
-		BW:      append([]units.BytesPerSec(nil), c.BW...),
-	}
 }

@@ -30,7 +30,24 @@ func testSurface(cal machine.Calibration) *surface.Surface {
 }
 
 func testKey(cal machine.Calibration) Key {
-	return SurfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, testStrides, testWSS)
+	return surfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, testStrides, testWSS)
+}
+
+// surfaceKey keys a load or transfer surface as the sweep layer does
+// (bench.LoadSurfaceKey, bench.TransferSurfaceKey).
+func surfaceKey(cal machine.Calibration, p Pattern, mode machine.Mode, idx, dst int, strides []int, wss []units.Bytes) Key {
+	if p == PatternTransfer {
+		return NewKey(cal, p.With(mode.String(), idx, dst), strides, wss)
+	}
+	return NewKey(cal, p.With("", idx), strides, wss)
+}
+
+// curveSurface builds a fixed-working-set curve as a one-row surface.
+func curveSurface(cal machine.Calibration, strides []int, bw ...units.BytesPerSec) *surface.Surface {
+	s := surface.New(cal.Machine, "test copy", strides, []units.Bytes{8 * units.MB})
+	s.CalHash = cal.Hash()
+	copy(s.BW[0], bw)
+	return s
 }
 
 func openTest(t *testing.T, dir string) *Store {
@@ -102,29 +119,26 @@ func TestGetReturnsCopies(t *testing.T) {
 func TestCurveRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cal := machine.NewT3E(1).Calibration()
-	c := &surface.Curve{Machine: cal.Machine, Title: "test copy",
-		CalHash: cal.Hash(),
-		Strides: []int{1, 2, 4},
-		BW:      []units.BytesPerSec{3e8, 2e8, 1e8}}
-	k := CurveKey(cal, PatternCopy, "sl", 0, 0, c.Strides, 8*units.MB)
+	c := curveSurface(cal, []int{1, 2, 4}, 3e8, 2e8, 1e8)
+	k := NewKey(cal, PatternCopy.With("sl", 0), c.Strides, c.WorkingSets)
 	want, _ := c.MarshalBinary()
 
 	st := openTest(t, dir)
-	if err := st.PutCurve(k, c); err != nil {
-		t.Fatalf("PutCurve: %v", err)
+	if err := st.PutSurface(k, c); err != nil {
+		t.Fatalf("PutSurface: %v", err)
 	}
 	st2 := openTest(t, dir)
-	got, ok := st2.GetCurve(k)
+	got, ok := st2.GetSurface(k)
 	if !ok {
-		t.Fatal("GetCurve missed after reopen")
+		t.Fatal("GetSurface missed the curve after reopen")
 	}
 	gb, _ := got.MarshalBinary()
 	if !bytes.Equal(gb, want) {
 		t.Error("curve round trip is not byte-identical")
 	}
-	// A surface request under a curve key must miss, not crash.
-	if _, ok := st2.GetSurface(k); ok {
-		t.Error("GetSurface served a curve entry")
+	// The same curve under another variant is another artifact.
+	if _, ok := st2.GetSurface(NewKey(cal, PatternCopy.With("ss", 0), c.Strides, c.WorkingSets)); ok {
+		t.Error("GetSurface served the curve under another variant's key")
 	}
 }
 
@@ -171,7 +185,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	ka := Key{Machine: "m", Pattern: "a"}
 	kb := Key{Machine: "m", Pattern: "b"}
 	kc := Key{Machine: "m", Pattern: "c"}
-	v := &cachedSurface{}
+	v := &surface.Surface{}
 	l.put(ka, v)
 	l.put(kb, v)
 	// Touch a so b becomes the eviction victim.
@@ -201,12 +215,11 @@ func TestStoreEvictionCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &surface.Curve{Machine: cal.Machine, Title: "t", CalHash: cal.Hash(),
-		Strides: []int{1}, BW: []units.BytesPerSec{1e8}}
-	if err := st.PutCurve(CurveKey(cal, PatternCopy, "a", 0, 0, c.Strides, units.MB), c); err != nil {
+	c := curveSurface(cal, []int{1}, 1e8)
+	if err := st.PutSurface(NewKey(cal, PatternCopy.With("a", 0), c.Strides, c.WorkingSets), c); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutCurve(CurveKey(cal, PatternCopy, "b", 0, 0, c.Strides, units.MB), c); err != nil {
+	if err := st.PutSurface(NewKey(cal, PatternCopy.With("b", 0), c.Strides, c.WorkingSets), c); err != nil {
 		t.Fatal(err)
 	}
 	if stats := st.Stats(); stats.Evictions != 1 {
@@ -214,7 +227,7 @@ func TestStoreEvictionCounted(t *testing.T) {
 	}
 	// Both entries still serve from disk — eviction only drops the
 	// decoded copy.
-	if _, ok := st.GetCurve(CurveKey(cal, PatternCopy, "a", 0, 0, c.Strides, units.MB)); !ok {
+	if _, ok := st.GetSurface(NewKey(cal, PatternCopy.With("a", 0), c.Strides, c.WorkingSets)); !ok {
 		t.Error("evicted entry no longer serves from disk")
 	}
 }

@@ -115,13 +115,18 @@ func (s *Surface) UnmarshalBinary(data []byte) error {
 	calHash := r.u64()
 	machine := r.str()
 	title := r.str()
-	strides := make([]int, r.count())
+	strides := make([]int, r.count(8))
 	for i := range strides {
 		strides[i] = int(int64(r.u64()))
 	}
-	wss := make([]units.Bytes, r.count())
+	wss := make([]units.Bytes, r.count(8))
 	for i := range wss {
 		wss[i] = units.Bytes(int64(r.u64()))
+	}
+	// Each cell is 8 bandwidth bytes and 1 source byte: check the
+	// grid fits before allocating it.
+	if cells := len(wss) * len(strides); r.err == nil && cells > (len(data)-r.off)/9 {
+		return fmt.Errorf("surface snapshot: %d cells exceed the %d remaining bytes", cells, len(data)-r.off)
 	}
 	bw := make([][]units.BytesPerSec, len(wss))
 	for i := range bw {
@@ -154,81 +159,6 @@ func (s *Surface) UnmarshalBinary(data []byte) error {
 	s.BW = bw
 	s.Source = src
 	s.CalHash = calHash
-	return nil
-}
-
-// Curve wire format: the same byte-stable discipline as the surface
-// snapshot, for the fixed-working-set stride sweeps (Figures 9-14).
-//
-//	magic            4 bytes  "CURV"
-//	version          uint16   curveSnapshotVersion
-//	calibration hash uint64   CalHash
-//	Machine          uint32 length + bytes
-//	Title            uint32 length + bytes
-//	Strides          uint32 count + int64 each
-//	BW               float64 bits, one per stride (count implied)
-const (
-	curveMagic           = "CURV"
-	curveSnapshotVersion = 1
-)
-
-// MarshalBinary encodes the curve in the versioned snapshot layout.
-func (c *Curve) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 32+len(c.Machine)+len(c.Title)+16*len(c.Strides))
-	if len(c.BW) != len(c.Strides) {
-		return nil, fmt.Errorf("curve snapshot: %d BW values for %d strides",
-			len(c.BW), len(c.Strides))
-	}
-	buf = append(buf, curveMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, curveSnapshotVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, c.CalHash)
-	buf = appendSnapString(buf, c.Machine)
-	buf = appendSnapString(buf, c.Title)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Strides)))
-	for _, st := range c.Strides {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(st)))
-	}
-	for _, bw := range c.BW {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(bw)))
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary decodes a snapshot produced by Curve.MarshalBinary,
-// replacing the receiver's contents. Like the surface decoder it
-// validates fully before assigning, so an error leaves the receiver
-// unchanged.
-func (c *Curve) UnmarshalBinary(data []byte) error {
-	r := snapReader{data: data}
-	if string(r.take(4)) != curveMagic {
-		return fmt.Errorf("curve snapshot: bad magic")
-	}
-	v := r.u16()
-	if r.err == nil && v != curveSnapshotVersion {
-		return fmt.Errorf("curve snapshot: unsupported version %d (want %d)", v, curveSnapshotVersion)
-	}
-	calHash := r.u64()
-	machine := r.str()
-	title := r.str()
-	strides := make([]int, r.count())
-	for i := range strides {
-		strides[i] = int(int64(r.u64()))
-	}
-	bw := make([]units.BytesPerSec, len(strides))
-	for i := range bw {
-		bw[i] = units.BytesPerSec(math.Float64frombits(r.u64()))
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(data) {
-		return fmt.Errorf("curve snapshot: %d trailing bytes", len(data)-r.off)
-	}
-	c.Machine = machine
-	c.Title = title
-	c.Strides = strides
-	c.BW = bw
-	c.CalHash = calHash
 	return nil
 }
 
@@ -301,15 +231,13 @@ func (r *snapReader) str() string {
 	return string(r.take(int(n)))
 }
 
-// count reads an element count, bounded so corrupt prefixes cannot
-// demand giant allocations.
-func (r *snapReader) count() int {
+// count reads the count of size-byte elements, bounded by the limit
+// and by the bytes left, so corrupt prefixes cannot demand giant
+// allocations.
+func (r *snapReader) count(size int) int {
 	n := r.u32()
-	if n > maxSnapshotElems {
-		if r.err == nil {
-			r.err = fmt.Errorf("surface snapshot: element count %d exceeds limit", n)
-		}
-		return 0
+	if r.err == nil && (n > maxSnapshotElems || int(n) > (len(r.data)-r.off)/size) {
+		r.err = fmt.Errorf("surface snapshot: element count %d exceeds limit", n)
 	}
 	if r.err != nil {
 		return 0

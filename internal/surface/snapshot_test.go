@@ -168,33 +168,35 @@ func TestSnapshotCorrupt(t *testing.T) {
 	}
 }
 
-func TestCurveSnapshotRoundTrip(t *testing.T) {
-	// Every Curve field must survive the codec — a dropped field write
-	// silently zeroes it in all persisted sweeps (the dropfieldwrite
-	// mutation class).
-	c := &Curve{
-		Machine: "t3e",
-		Title:   "remote fetch bandwidth",
-		CalHash: 0xfeedface12345678,
-		Strides: []int{1, 2, 4, 8, 128},
-		BW:      []units.BytesPerSec{480e6, 330e6, 190e6, 88e6, 21e6},
-	}
-	b, err := c.MarshalBinary()
+// FuzzSurfaceSnapshot: no input may panic the decoder, and every
+// input it accepts must re-marshal to the same bytes.
+func FuzzSurfaceSnapshot(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "surface_v2.bin"))
 	if err != nil {
-		t.Fatalf("marshal: %v", err)
+		f.Fatal(err)
 	}
-	var got Curve
-	if err := got.UnmarshalBinary(b); err != nil {
-		t.Fatalf("unmarshal: %v", err)
+	f.Add(golden)
+	row := New("t3e", "local copy, strided loads/contiguous stores", CopyStrides, []units.Bytes{16 * units.MB})
+	row.CalHash = 0xfeedface12345678
+	for si := range row.Strides {
+		row.Set(0, si, units.BytesPerSec(480e6/float64(si+1)))
 	}
-	if !reflect.DeepEqual(&got, c) {
-		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, *c)
-	}
-	b2, err := got.MarshalBinary()
+	rowBytes, err := row.MarshalBinary()
 	if err != nil {
-		t.Fatalf("re-marshal: %v", err)
+		f.Fatal(err)
 	}
-	if !bytes.Equal(b, b2) {
-		t.Fatalf("curve snapshot is not byte-stable across a round trip")
-	}
+	f.Add(rowBytes)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Surface
+		if s.UnmarshalBinary(data) != nil {
+			return
+		}
+		again, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatalf("decoded surface does not marshal: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("re-marshal differs from the accepted input")
+		}
+	})
 }

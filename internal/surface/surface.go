@@ -1,7 +1,9 @@
 // Package surface holds the stride x working-set bandwidth grids that
-// are the paper's central data structure (Figures 1-8), with the
-// plateau extraction, interpolation, and rendering used by the
+// are the paper's central data structure, with the plateau
+// extraction, interpolation, and rendering used by the
 // characterization, the planner, and the figure regeneration tools.
+// Figures 1-8 are full grids; Figures 9-14 read the same function at
+// one fixed working set and are stored as one-row grids.
 package surface
 
 import (
@@ -32,7 +34,7 @@ func WorkingSets(lo, hi units.Bytes) []units.Bytes {
 }
 
 // Surface is a bandwidth grid over (working set, stride). It is the
-// simulator's first persistent artifact: snapshot.go gives it a
+// simulator's one persistent artifact: snapshot.go gives it a
 // versioned binary codec (the memserve surface store's wire format),
 // and the snapshotsafe analyzer holds the codec to the struct.
 //
@@ -123,13 +125,15 @@ func (s *Surface) CountSource(src Source) int {
 }
 
 // At interpolates the bandwidth at an arbitrary (ws, stride) point,
-// bilinear in log2(ws) x log2(stride), clamping outside the grid.
+// bilinear in log2(ws) x log2(stride), clamping outside the grid. On
+// a one-row surface (a fixed-working-set sweep) every ws reads that
+// row, so At is the stride interpolation alone.
 func (s *Surface) At(ws units.Bytes, stride int) units.BytesPerSec {
 	if len(s.WorkingSets) == 0 || len(s.Strides) == 0 {
 		return 0
 	}
-	wi, wf := locate(float64(ws), wsAxis(s.WorkingSets))
-	si, sf := locate(float64(stride), strideAxis(s.Strides))
+	wi, wf := locate(ws, s.WorkingSets)
+	si, sf := locate(stride, s.Strides)
 	b00 := float64(s.BW[wi][si])
 	b01 := float64(s.BW[wi][min(si+1, len(s.Strides)-1)])
 	b10 := float64(s.BW[min(wi+1, len(s.WorkingSets)-1)][si])
@@ -137,25 +141,9 @@ func (s *Surface) At(ws units.Bytes, stride int) units.BytesPerSec {
 	return units.BytesPerSec((b00*(1-sf)+b01*sf)*(1-wf) + (b10*(1-sf)+b11*sf)*wf)
 }
 
-func wsAxis(ws []units.Bytes) []float64 {
-	out := make([]float64, len(ws))
-	for i, w := range ws {
-		out[i] = float64(w)
-	}
-	return out
-}
-
-func strideAxis(st []int) []float64 {
-	out := make([]float64, len(st))
-	for i, s := range st {
-		out[i] = float64(s)
-	}
-	return out
-}
-
 // locate finds the interval index and log-space fraction of v within
 // ascending axis values.
-func locate(v float64, axis []float64) (int, float64) {
+func locate[T ~int | ~int64](v T, axis []T) (int, float64) {
 	if v <= axis[0] {
 		return 0, 0
 	}
@@ -163,12 +151,12 @@ func locate(v float64, axis []float64) (int, float64) {
 	if v >= axis[last] {
 		return last, 0
 	}
-	i := sort.SearchFloat64s(axis, v)
+	i := sort.Search(len(axis), func(i int) bool { return axis[i] >= v })
 	if axis[i] == v {
 		return i, 0
 	}
-	lo, hi := axis[i-1], axis[i]
-	f := (math.Log2(v) - math.Log2(lo)) / (math.Log2(hi) - math.Log2(lo))
+	lo, hi := float64(axis[i-1]), float64(axis[i])
+	f := (math.Log2(float64(v)) - math.Log2(lo)) / (math.Log2(hi) - math.Log2(lo))
 	return i - 1, f
 }
 
@@ -257,40 +245,15 @@ func (s *Surface) ASCII() string {
 	return b.String()
 }
 
-// Curve is a single bandwidth-vs-stride series (Figures 9-14). Like
-// Surface it is a persistent artifact: snapshot.go gives it a
-// versioned byte-stable codec so the surface store can serve the
-// fixed-working-set copy and transfer sweeps from disk.
-//
-//simlint:snapshot
-type Curve struct {
-	Machine string
-	Title   string
-	// CalHash identifies the machine calibration the curve was
-	// measured from; zero when unknown (hand-assembled curves).
-	CalHash uint64
-	Strides []int
-	BW      []units.BytesPerSec
-}
-
-// At returns the bandwidth at the given stride (log-interpolated).
-func (c *Curve) At(stride int) units.BytesPerSec {
-	if len(c.Strides) == 0 {
-		return 0
-	}
-	i, f := locate(float64(stride), strideAxis(c.Strides))
-	b0 := float64(c.BW[i])
-	b1 := float64(c.BW[min(i+1, len(c.BW)-1)])
-	return units.BytesPerSec(b0*(1-f) + b1*f)
-}
-
-// Table renders the curve as aligned text.
-func (c *Curve) Table() string {
+// Table renders the first working-set row as aligned stride and
+// bandwidth columns: the whole of a one-row surface, the shape of
+// the fixed-working-set sweeps of Figures 9-14.
+func (s *Surface) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", c.Machine, c.Title)
+	fmt.Fprintf(&b, "%s — %s\n", s.Machine, s.Title)
 	b.WriteString("stride   MByte/s\n")
-	for i, st := range c.Strides {
-		fmt.Fprintf(&b, "%6d   %7.1f\n", st, c.BW[i].MBps())
+	for i, st := range s.Strides {
+		fmt.Fprintf(&b, "%6d   %7.1f\n", st, s.BW[0][i].MBps())
 	}
 	return b.String()
 }

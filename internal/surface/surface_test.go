@@ -1,6 +1,8 @@
 package surface
 
 import (
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -71,13 +73,19 @@ func TestCSVAndASCII(t *testing.T) {
 	}
 }
 
+// oneRow builds a fixed-working-set curve as a one-row surface.
+func oneRow(strides []int, ws units.Bytes, bw ...units.BytesPerSec) *Surface {
+	s := New("m", "t", strides, []units.Bytes{ws})
+	copy(s.BW[0], bw)
+	return s
+}
+
 func TestCurveAtAndTable(t *testing.T) {
-	c := &Curve{Machine: "m", Title: "t", Strides: []int{1, 8, 64},
-		BW: []units.BytesPerSec{units.MBps(100), units.MBps(50), units.MBps(20)}}
-	if got := c.At(8).MBps(); got != 50 {
+	c := oneRow([]int{1, 8, 64}, 8*units.MB, units.MBps(100), units.MBps(50), units.MBps(20))
+	if got := c.At(8*units.MB, 8).MBps(); got != 50 {
 		t.Errorf("At(8) = %v", got)
 	}
-	between := c.At(3).MBps()
+	between := c.At(8*units.MB, 3).MBps()
 	if between <= 50 || between >= 100 {
 		t.Errorf("interpolated curve value %v outside (50,100)", between)
 	}
@@ -99,5 +107,62 @@ func TestPaperAxes(t *testing.T) {
 	}
 	if CopyStrides[len(CopyStrides)-1] != 64 {
 		t.Errorf("copy stride axis should end at 64 (Figures 9-14)")
+	}
+}
+
+// curveAt is the stride interpolation of the former one-dimensional
+// curve type, kept as the oracle one-row surfaces must reproduce.
+func curveAt(strides []int, bw []units.BytesPerSec, stride int) units.BytesPerSec {
+	axis := make([]float64, len(strides))
+	for i, s := range strides {
+		axis[i] = float64(s)
+	}
+	v := float64(stride)
+	var i int
+	var f float64
+	switch last := len(axis) - 1; {
+	case v <= axis[0]:
+	case v >= axis[last]:
+		i = last
+	default:
+		i = sort.SearchFloat64s(axis, v)
+		if axis[i] != v {
+			lo, hi := axis[i-1], axis[i]
+			f = (math.Log2(v) - math.Log2(lo)) / (math.Log2(hi) - math.Log2(lo))
+			i--
+		}
+	}
+	b0 := float64(bw[i])
+	b1 := float64(bw[min(i+1, len(bw)-1)])
+	return units.BytesPerSec(b0*(1-f) + b1*f)
+}
+
+// TestOneRowAtMatchesCurveAt: a one-row surface read at any working
+// set is bit-equal to the curve interpolation it replaced.
+func TestOneRowAtMatchesCurveAt(t *testing.T) {
+	bw := []units.BytesPerSec{480.25e6, 331.5e6, 190e6, 88.125e6, 61e6, 40.5e6, 21e6,
+		19.75e6, 18e6, 17.5e6, 17e6, 16.25e6, 15e6, 14.5e6, 14e6, 13.75e6, 13e6}
+	wss := []units.Bytes{units.KB / 2, 64 * units.KB, 8 * units.MB, 16 * units.MB, units.GB}
+	for _, strides := range [][]int{CopyStrides, {1, 2, 4, 8, 16, 32, 64, 128}, {5}} {
+		s := oneRow(strides, 16*units.MB, bw[:len(strides)]...)
+		for _, ws := range wss {
+			for stride := 0; stride <= 300; stride++ {
+				want := curveAt(strides, bw[:len(strides)], stride)
+				if got := s.At(ws, stride); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+					t.Fatalf("strides %v: At(%v, %d) = %v, curve oracle %v", strides, ws, stride, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestAtDoesNotAllocate(t *testing.T) {
+	s := oneRow(CopyStrides, 16*units.MB, make([]units.BytesPerSec, len(CopyStrides))...)
+	if n := testing.AllocsPerRun(100, func() { s.At(8*units.MB, 20) }); n > 1 {
+		t.Errorf("one-row At allocates %v times per call, want at most 1", n)
+	}
+	g := grid()
+	if n := testing.AllocsPerRun(100, func() { g.At(3*units.KB, 2) }); n > 1 {
+		t.Errorf("two-row At allocates %v times per call, want at most 1", n)
 	}
 }

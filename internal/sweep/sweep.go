@@ -20,8 +20,9 @@
 //     order changes only which worker runs a point and when, never
 //     its result.
 //
-// Under this contract the assembled surface.Surface / surface.Curve
-// artifacts are byte-identical whatever the worker count.
+// Under this contract the assembled surface.Surface artifacts — full
+// grids and the one-row fixed-working-set sweeps alike — are
+// byte-identical whatever the worker count.
 package sweep
 
 import (

@@ -192,7 +192,7 @@ func TestArtifactsMatchAcrossWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range []*surface.Curve{bench.CopyCurve(p, 0, 256*units.KB, strides, true), c} {
+		for _, c := range []*surface.Surface{bench.CopyCurve(p, 0, 256*units.KB, strides, true), c} {
 			data, err := c.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)

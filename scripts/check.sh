@@ -13,14 +13,18 @@
 #                           artifact writes), run through the
 #                           incremental cache; any finding fails
 #   5. simmut smoke       — a budget of 25 mutants over the unit and
-#                           surface codecs plus 25 over the serving
-#                           layer; any survivor is a hard failure
-#                           (the full sweep is `make mutate`)
+#                           surface codecs, 25 over the serving layer
+#                           and 25 over the probe counters; any
+#                           survivor is a hard failure (the full sweep
+#                           is `make mutate`)
 #   6. go test -race ./...— the full suite under the race detector,
-#                           then each native fuzz target of the
-#                           serving layer (FuzzBandwidth, FuzzBatch,
-#                           FuzzPlan) for 3 s: no request body may
-#                           panic the handler or draw a 5xx
+#                           then each native fuzz target for 3 s: the
+#                           serving layer's (FuzzBandwidth, FuzzBatch,
+#                           FuzzPlan) — no request body may panic the
+#                           handler or draw a 5xx — and the two
+#                           artifact decoders' (FuzzSurfaceSnapshot,
+#                           FuzzManifest) — no input may panic, and
+#                           accepted input re-marshals to its bytes
 #   7. hot-primitive benchmarks — BenchmarkPrime, BenchmarkMeasure
 #                           and BenchmarkTransfer run once each, so
 #                           the host ns-per-access probes of a load
@@ -33,11 +37,12 @@
 #                           (working sets to 512K): every regime's
 #                           mean divergence between the closed-form
 #                           model and the simulator stays within 15%
-#  10. warm-store smoke   — one figure rendered twice against the
-#                           same surface store; the warm run must
-#                           reproduce the cold bytes exactly, and a
-#                           -fast run completed by a full run over
-#                           one store must match a storeless run
+#  10. warm-store smoke   — a full-grid figure (6) and a one-row
+#                           copy-curve figure (11), each rendered twice
+#                           against the same surface store; the warm
+#                           run must reproduce the cold bytes exactly,
+#                           and a -fast run completed by a full run
+#                           over one store must match a storeless run
 #  11. memserve smoke     — the characterization service on loopback
 #                           against the warm store from step 10: one
 #                           single and one batch bandwidth query must
@@ -74,13 +79,15 @@ go run ./cmd/simlint ./...
 echo "== simmut smoke (budget 25) =="
 go run ./cmd/simmut -budget 25 ./internal/units ./internal/surface
 go run ./cmd/simmut -budget 25 ./internal/serve
+go run ./cmd/simmut -budget 25 ./internal/probe
 
 echo "== go test -race =="
 go test -race ./...
 
 echo "== fuzz (3 s per target) =="
-for target in FuzzBandwidth FuzzBatch FuzzPlan; do
-    go test -run '^$' -fuzz "^$target\$" -fuzztime 3s ./internal/serve
+for spec in FuzzBandwidth:serve FuzzBatch:serve FuzzPlan:serve \
+    FuzzSurfaceSnapshot:surface FuzzManifest:store; do
+    go test -run '^$' -fuzz "^${spec%%:*}\$" -fuzztime 3s "./internal/${spec#*:}"
 done
 
 echo "== hot-primitive benchmarks (one iteration) =="
@@ -102,6 +109,13 @@ go run ./cmd/figures -fig 6 -store "$smoke/sweepstore" \
     >"$smoke/warm.stdout" 2>"$smoke/warm.stderr"
 cmp "$smoke/cold.stdout" "$smoke/warm.stdout"
 grep -q "store: .* 0 misses" "$smoke/warm.stderr"
+# The same over a copy-curve figure: its curves are one-row surfaces.
+go run ./cmd/figures -fig 11 -store "$smoke/sweepstore" \
+    >"$smoke/cold11.stdout" 2>/dev/null
+go run ./cmd/figures -fig 11 -store "$smoke/sweepstore" \
+    >"$smoke/warm11.stdout" 2>"$smoke/warm11.stderr"
+cmp "$smoke/cold11.stdout" "$smoke/warm11.stdout"
+grep -q "store: .* 0 misses" "$smoke/warm11.stderr"
 # Upgrade path: a -fast run leaves a partial surface; the full run
 # over the same store completes it to the storeless bytes.
 go run ./cmd/figures -fig 6 -fast -store "$smoke/upgradestore" \
