@@ -42,9 +42,6 @@ type Model struct {
 // New builds a model over the calibration.
 func New(cal machine.Calibration) *Model { return &Model{cal: cal} }
 
-// Cal returns the calibration the model was built from.
-func (m *Model) Cal() machine.Calibration { return m.cal }
-
 // Regime names the hierarchy level that serves a working set: the
 // smallest cache that holds it, or "DRAM". It is the row classifier
 // of the validation report and the divergence table.

@@ -2,7 +2,6 @@ package analytic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/surface"
@@ -188,20 +187,6 @@ func (r *Report) render(m *Model) string {
 		}
 	}
 	return b.String()
-}
-
-// WorstCells returns the n cells with the largest absolute
-// divergence, worst first (ties broken by grid position for
-// deterministic output).
-func (r *Report) WorstCells(n int) []CellDiff {
-	cells := append([]CellDiff(nil), r.Cells...)
-	sort.SliceStable(cells, func(i, j int) bool {
-		return abs(cells[i].RelErr) > abs(cells[j].RelErr)
-	})
-	if n > len(cells) {
-		n = len(cells)
-	}
-	return cells[:n]
 }
 
 func abs(v float64) float64 {

@@ -185,6 +185,7 @@ func TestRemoteContiguousTransferHeadline(t *testing.T) {
 	t3d := transferPoint(t, NewT3D(4), Deposit, 1, 1)
 	t3e := transferPoint(t, NewT3E(4), Fetch, 1, 1)
 	within(t, "T3E contiguous remote", t3e, 350)
+	within(t, "T3E contiguous remote deposit", transferPoint(t, NewT3E(4), Deposit, 1, 1), 350)
 	ratio := dec.MBps() / t3d.MBps()
 	if ratio < 0.6 || ratio > 1.4 {
 		t.Errorf("8400 (%.0f) and T3D (%.0f) should perform alike contiguous", dec.MBps(), t3d.MBps())
@@ -226,6 +227,11 @@ func TestT3EFetchMatchesOrBeatsDeposit(t *testing.T) {
 	r := getOdd.MBps() / putOdd.MBps()
 	if r < 0.8 || r > 1.6 {
 		t.Errorf("odd stride: get (%.0f) and put (%.0f) should be comparable", getOdd.MBps(), putOdd.MBps())
+	}
+	// §5.6: the destination bank ripples slow an even-stride put
+	// below an odd-stride one.
+	if put >= putOdd {
+		t.Errorf("even-stride put (%.0f) should be slower than odd (%.0f)", put.MBps(), putOdd.MBps())
 	}
 }
 

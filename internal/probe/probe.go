@@ -435,9 +435,6 @@ func (p *Probe) EnableTrace(capacity int) {
 	p.tracer = NewTracer(capacity)
 }
 
-// DisableTrace turns tracing off and drops the ring.
-func (p *Probe) DisableTrace() { p.tracer = nil }
-
 // Reset zeroes every counter and rewinds the trace ring: the state a
 // machine ColdReset must restore.
 func (p *Probe) Reset() {

@@ -10,6 +10,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/analytic"
+	"repro/internal/machine"
+	"repro/internal/report"
+	"repro/internal/store"
+	"repro/internal/surface"
+	"repro/internal/units"
 )
 
 // Load-test harness: a live loopback server (httptest wraps a real
@@ -149,6 +156,100 @@ func BenchmarkServeBatch(b *testing.B) {
 			b.ReportMetric(batches, "batch_qps")
 			b.ReportMetric(batches*benchBatchSize, "qps")
 			b.ReportMetric(0, "ns/op")
+		})
+	}
+}
+
+// handlerStore fills a store directory with, for each machine, a load
+// surface and a fetch transfer surface on a coarse grid, every cell
+// simulated and valued by the analytic model, so the handler
+// benchmark reaches the exact, interpolated and analytic lookup paths.
+func handlerStore(b *testing.B) string {
+	b.Helper()
+	dir := b.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	strides := []int{1, 2, 4, 8, 16, 32, 64, 128}
+	wss := []units.Bytes{4 * units.KB, 32 * units.KB, 256 * units.KB, 2 * units.MB, 8 * units.MB}
+	for _, name := range shardNames() {
+		cal := report.Factories()[name]().Calibration()
+		model := analytic.New(cal)
+		for _, pattern := range []string{store.PatternLoad.With("", 0), store.PatternTransfer.With(machine.Fetch.String(), 0, 1)} {
+			s := surface.New(cal.Machine, "bench", strides, wss)
+			s.CalHash = cal.Hash()
+			for wi, ws := range wss {
+				for si, stride := range strides {
+					bw := model.LoadBW(ws, stride)
+					if pattern != store.PatternLoad.With("", 0) {
+						if bw, err = model.TransferBW(machine.Fetch, ws, stride); err != nil {
+							b.Fatal(err)
+						}
+					}
+					s.Set(wi, si, bw)
+				}
+			}
+			if err := st.PutSurface(store.NewKey(cal, pattern, strides, wss), s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return dir
+}
+
+// handlerQuery is the body of the i-th query the handler benchmark
+// sends, shaped as clients marshal a BandwidthRequest: on the stored
+// grid, between its lines, or off it, for loads and fetches.
+func handlerQuery(i int) string {
+	machines := []string{"t3e", "t3d", "8400"}
+	strides := []int{1, 2, 3, 4, 8, 16, 48, 64, 128, 256}
+	wss := []int64{4 << 10, 24 << 10, 32 << 10, 256 << 10, 1 << 20, 2 << 20, 8 << 20, 64 << 20}
+	if i%2 == 1 {
+		return fmt.Sprintf(`{"machine":%q,"pattern":"transfer","mode":"fetch","ws":%d,"stride":%d}`,
+			machines[i%3], wss[i%8], strides[i%10])
+	}
+	return fmt.Sprintf(`{"machine":%q,"pattern":"load","ws":%d,"stride":%d}`,
+		machines[i%3], wss[i%8], strides[i%10])
+}
+
+// BenchmarkHandler replays fixed single, batch-of-64 and plan bodies
+// through the server's handler with a ResponseRecorder, no socket,
+// against a store holding a few surfaces. It measures the handler
+// itself: decoding, lookups and encoding. The loopback benchmarks
+// above measure the transport as well.
+//
+// Run it with: go test -run '^$' -bench 'BenchmarkHandler' -benchmem ./internal/serve
+func BenchmarkHandler(b *testing.B) {
+	s, err := New(Config{StoreDir: handlerStore(b)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	queries := make([]string, benchBatchSize)
+	for i := range queries {
+		queries[i] = handlerQuery(i)
+	}
+	batch := `{"queries":[` + queries[0]
+	for _, q := range queries[1:] {
+		batch += "," + q
+	}
+	batch += "]}"
+	for _, c := range []struct{ name, path, body string }{
+		{"single", "/v1/bandwidth", handlerQuery(7)},
+		{"batch64", "/v1/bandwidth/batch", batch},
+		{"plan", "/v1/plan", `{"machine":"t3d","bytes":2097152,"stride":32}`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader([]byte(c.body)))
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", w.Code, w.Body.String())
+				}
+			}
 		})
 	}
 }

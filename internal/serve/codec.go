@@ -242,7 +242,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) int {
 
 // writeError writes a structured error body.
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) int {
-	return writeJSON(w, status, ErrorBody{Error: ErrorDetail{
-		Code: code, Message: fmt.Sprintf(format, args...),
-	}})
+	return writeErrorDetail(w, status, &ErrorDetail{Code: code, Message: fmt.Sprintf(format, args...)})
+}
+
+// writeErrorDetail writes d as a top-level error body.
+func writeErrorDetail(w http.ResponseWriter, status int, d *ErrorDetail) int {
+	return write(w, status, func(e *encoder) { e.errorBody(&ErrorBody{Error: *d}) })
 }

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -49,23 +47,15 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 	})
 }
 
-// decode reads a bounded JSON body into v.
-func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
-}
-
 // hex16 renders a calibration hash the way every response spells it.
 func hex16(v uint64) string { return fmt.Sprintf("%016x", v) }
 
-// answer evaluates one bandwidth query. On failure the ErrorDetail
-// and an HTTP status classify it; on success both are zero.
-func (s *Server) answer(q BandwidthRequest) (*BandwidthResponse, *ErrorDetail, int) {
-	fail := func(status int, code, format string, args ...any) (*BandwidthResponse, *ErrorDetail, int) {
-		return nil, &ErrorDetail{Code: code, Message: fmt.Sprintf(format, args...)}, status
+// answer evaluates one bandwidth query into resp. On failure the
+// ErrorDetail and an HTTP status classify it and resp is left unset;
+// on success the detail is nil.
+func (s *Server) answer(q *BandwidthRequest, resp *BandwidthResponse) (*ErrorDetail, int) {
+	fail := func(status int, code, format string, args ...any) (*ErrorDetail, int) {
+		return &ErrorDetail{Code: code, Message: fmt.Sprintf(format, args...)}, status
 	}
 	sh, ok := s.shards[q.Machine]
 	if !ok {
@@ -105,7 +95,7 @@ func (s *Server) answer(q BandwidthRequest) (*BandwidthResponse, *ErrorDetail, i
 		// T3D) — out-of-hull queries degrade to analytic, never here.
 		return fail(http.StatusUnprocessableEntity, CodeUnsupported, "%v", err)
 	}
-	resp := &BandwidthResponse{
+	*resp = BandwidthResponse{
 		Machine: q.Machine, Pattern: q.Pattern,
 		WSBytes: int64(ws), Stride: q.Stride,
 		BWMBps:     res.BW.MBps(),
@@ -115,24 +105,24 @@ func (s *Server) answer(q BandwidthRequest) (*BandwidthResponse, *ErrorDetail, i
 	if pattern == store.PatternTransfer {
 		resp.Mode = mode.String()
 	}
-	return resp, nil, http.StatusOK
+	return nil, http.StatusOK
 }
 
 func (s *Server) handleBandwidth(w http.ResponseWriter, r *http.Request) int {
 	var q BandwidthRequest
-	if err := decode(w, r, &q); err != nil {
+	if err := decode(w, r, &q, (*scanner).bandwidth); err != nil {
 		return writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid request body: %v", err)
 	}
-	resp, detail, status := s.answer(q)
-	if detail != nil {
-		return writeJSON(w, status, ErrorBody{Error: *detail})
+	var resp BandwidthResponse
+	if detail, status := s.answer(&q, &resp); detail != nil {
+		return writeErrorDetail(w, status, detail)
 	}
-	return writeJSON(w, status, resp)
+	return write(w, http.StatusOK, func(e *encoder) { e.bandwidth(&resp) })
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	var req BatchRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, (*scanner).batch); err != nil {
 		return writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid request body: %v", err)
 	}
 	if len(req.Queries) > maxBatch {
@@ -145,6 +135,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	// Answers land by index, so the bytes do not depend on the width.
 	n := len(req.Queries)
 	results := make([]BatchResult, n)
+	answers := make([]BandwidthResponse, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range min(cap(s.sem), n) {
@@ -154,18 +145,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 			defer wg.Done()
 			defer func() { <-s.sem }()
 			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				resp, detail, _ := s.answer(req.Queries[i])
-				results[i] = BatchResult{Result: resp, Error: detail}
+				if detail, _ := s.answer(&req.Queries[i], &answers[i]); detail != nil {
+					results[i].Error = detail
+				} else {
+					results[i].Result = &answers[i]
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	return writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+	return write(w, http.StatusOK, func(e *encoder) { e.batch(&BatchResponse{Results: results}) })
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) int {
 	var req PlanRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, (*scanner).plan); err != nil {
 		return writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid request body: %v", err)
 	}
 	sh, ok := s.shards[req.Machine]
@@ -185,8 +179,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) int {
 	}
 	resp := PlanResponse{
 		Machine: req.Machine, Bytes: int64(n), Stride: req.Stride,
-		CalHash: sh.hashHex,
-		Best:    plans[0].Name,
+		CalHash:    sh.hashHex,
+		Best:       plans[0].Name,
+		Strategies: make([]PlanStrategy, 0, len(plans)),
 	}
 	for _, p := range plans {
 		st := PlanStrategy{
@@ -209,7 +204,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) int {
 		}
 		resp.Strategies = append(resp.Strategies, st)
 	}
-	return writeJSON(w, http.StatusOK, resp)
+	return write(w, http.StatusOK, func(e *encoder) { e.plan(&resp) })
 }
 
 func (s *Server) handleSurfaces(w http.ResponseWriter, r *http.Request) int {

@@ -24,8 +24,12 @@
 // directory, so T3E traffic never contends with 8400 traffic on a
 // lock. Each shard holds a store.Querier bound to its calibration, so
 // the calibration is hashed and modelled once at startup, never per
-// query. Shards are immutable after construction except for their
-// answer-confidence counters, which are atomics; the other mutable
+// query, and its lookups read an immutable surface index without
+// taking the store's lock. The query endpoints decode with a strict
+// scanner that falls back to encoding/json outside its canonical
+// subset, and encode by hand with encoding/json's rules. Shards are
+// immutable after construction except for their answer-confidence
+// counters, which are atomics; the other mutable
 // server state is the metrics registry (probe.LockedRegistry) and
 // each shard's store, both internally locked. A batch starts at most
 // Workers goroutines; each holds one slot of a server-wide semaphore

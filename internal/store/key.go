@@ -6,7 +6,9 @@
 // it was measured from, the access pattern, and a signature of the
 // sweep grid, and persisted as a byte-stable snapshot under a store
 // directory next to a versioned manifest. An in-memory LRU serves
-// repeated lookups without touching the disk, and the sweep layer
+// repeated reads without touching the disk, a Querier indexes the
+// surfaces its lookups serve so a lookup takes no lock, and the sweep
+// layer
 // (sweep.Pool + bench) consults the store before simulating: a
 // whole-surface hit is free, a partially-simulated surface (a pruned
 // sweep's artifact) costs only its cold cells, and a calibration

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/analytic"
 	"repro/internal/machine"
@@ -48,20 +49,67 @@ type Result struct {
 // Lookup answers an off-grid bandwidth query from the store. It is
 // For(cal).Lookup(p, mode, ws, stride); a caller that issues many
 // queries for one calibration should hold the Querier instead, so
-// the calibration is hashed and modelled once rather than per query.
+// the calibration is hashed and modelled, and the stored surfaces
+// indexed, once rather than per query.
 func (s *Store) Lookup(cal machine.Calibration, p Pattern, mode machine.Mode, ws units.Bytes, stride int) (Result, error) {
 	return s.For(cal).Lookup(p, mode, ws, stride)
 }
 
 // Querier answers Lookups for one calibration against one store. It
-// derives the calibration hash and the analytic model once, at For;
-// it does not snapshot the manifest, so a surface Put after For is
-// served by the next Lookup. A Querier is safe for concurrent use.
+// derives the calibration hash and the analytic model once, at For,
+// and reads the stored surfaces through an immutable index that a
+// Lookup rebuilds whenever the store's generation has moved, so a
+// surface Put after For is served by the next Lookup. A Querier is
+// safe for concurrent use; a Lookup against a current index takes no
+// lock.
 type Querier struct {
 	st      *Store
 	machine string
 	hash    uint64
 	model   *analytic.Model
+	idx     atomic.Pointer[surfaceIndex]
+}
+
+// surfaceIndex is the stored full-grid surfaces one Querier can serve
+// from: for each lookup slot, the surfaces of that family under the
+// Querier's machine and calibration hash, in manifest order. It is
+// never mutated after it is published; gen is the store generation
+// it reflects.
+type surfaceIndex struct {
+	gen   uint64
+	slots [numSlots][]*surface.Surface
+}
+
+// The lookup slots: the families Lookup serves from. A load query
+// ignores its mode; a transfer query has one slot per mode, at
+// slotTransfer + mode.
+const (
+	slotLoad = iota
+	slotTransfer
+	numSlots = slotTransfer + int(machine.NaiveFetch) + 1
+)
+
+// slotPrefixes is each slot's family prefix ("load@",
+// "transfer-fetch@", ...). It matches the full-grid sweeps only: the
+// one-row artifacts belong to other families or carry a variant
+// ("copy-sl@0", "load-pt@0").
+var slotPrefixes = [numSlots]string{
+	slotLoad:                               PatternLoad.With(""),
+	slotTransfer + int(machine.Fetch):      PatternTransfer.With(machine.Fetch.String()),
+	slotTransfer + int(machine.Deposit):    PatternTransfer.With(machine.Deposit.String()),
+	slotTransfer + int(machine.NaiveFetch): PatternTransfer.With(machine.NaiveFetch.String()),
+}
+
+// slotOf returns the lookup slot of a query; ok is false for a
+// pattern or mode no stored sweep can serve.
+func slotOf(p Pattern, mode machine.Mode) (int, bool) {
+	switch {
+	case p == PatternLoad:
+		return slotLoad, true
+	case p == PatternTransfer && mode >= machine.Fetch && mode <= machine.NaiveFetch:
+		return slotTransfer + int(mode), true
+	}
+	return 0, false
 }
 
 // For binds the store to one calibration.
@@ -77,8 +125,8 @@ func (q *Querier) Hash() uint64 { return q.hash }
 // fallback of every Lookup.
 func (q *Querier) Model() *analytic.Model { return q.model }
 
-// Lookup scans the stored surfaces matching (machine, calibration,
-// pattern, mode) and serves, in order of preference: the exact
+// Lookup serves the query from the stored surfaces matching (machine,
+// calibration, pattern, mode), in order of preference: the exact
 // simulated cell; a log2-bilinear interpolation between simulated
 // cells when the bracketing working sets share one analytic regime
 // (interpolating across a regime boundary — e.g. across the
@@ -89,44 +137,58 @@ func (q *Querier) Model() *analytic.Model { return q.model }
 // mode is ignored for PatternLoad. Transfers that the analytic model
 // cannot express return the model's error.
 func (q *Querier) Lookup(p Pattern, mode machine.Mode, ws units.Bytes, stride int) (Result, error) {
-	for _, surf := range q.st.surfacesFor(q.machine, q.hash, p, mode) {
-		if r, ok := serveFrom(surf, q.model, ws, stride); ok {
-			return r, nil
+	if slot, ok := slotOf(p, mode); ok {
+		for _, surf := range q.index().slots[slot] {
+			if r, ok := serveFrom(surf, q.model, ws, stride); ok {
+				return r, nil
+			}
 		}
 	}
 	return analyticResult(q.model, p, mode, ws, stride)
 }
 
-// surfacesFor collects the stored surfaces whose key matches the
-// query's machine, calibration hash, and pattern family, in manifest
-// order. The family prefix ("load@", "transfer-fetch@") matches the
-// full-grid sweeps only: the one-row artifacts belong to other
-// families or carry a variant ("copy-sl@0", "load-pt@0").
-func (s *Store) surfacesFor(machineName string, hash uint64, p Pattern, mode machine.Mode) []*surface.Surface {
-	prefix := p.With("")
-	if p == PatternTransfer {
-		prefix = p.With(mode.String())
+// index returns the Querier's surface index, rebuilding it when the
+// store has changed since it was built.
+func (q *Querier) index() *surfaceIndex {
+	if idx := q.idx.Load(); idx != nil && idx.gen == q.st.gen.Load() {
+		return idx
 	}
+	return q.st.buildIndex(q)
+}
 
+// buildIndex loads every stored surface q can serve, publishes the
+// index in q and returns it. It runs under s.mu, so an index is
+// published in generation order.
+func (s *Store) buildIndex(q *Querier) *surfaceIndex {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []*surface.Surface
 	// Snapshot the matching keys first: load() can mutate the entry
 	// slice when it quarantines.
-	var keys []Key
+	var keys [numSlots][]Key
 	for i := range s.man.Entries {
 		e := &s.man.Entries[i]
-		if e.Machine != machineName || e.CalHash != hash || !strings.HasPrefix(e.Pattern, prefix) {
+		if e.Machine != q.machine || e.CalHash != q.hash {
 			continue
 		}
-		keys = append(keys, e.Key())
-	}
-	for _, k := range keys {
-		if surf, ok := s.load(k); ok {
-			out = append(out, surf)
+		for slot, prefix := range slotPrefixes {
+			if strings.HasPrefix(e.Pattern, prefix) {
+				keys[slot] = append(keys[slot], e.Key())
+				break
+			}
 		}
 	}
-	return out
+	idx := &surfaceIndex{}
+	for slot := range keys {
+		for _, k := range keys[slot] {
+			if surf, ok := s.load(k); ok {
+				idx.slots[slot] = append(idx.slots[slot], surf)
+			}
+		}
+	}
+	// Read after the loads: a quarantine among them moves it.
+	idx.gen = s.gen.Load()
+	q.idx.Store(idx)
+	return idx
 }
 
 // serveFrom answers the query from one stored surface if it can:

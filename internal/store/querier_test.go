@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analytic"
@@ -93,6 +94,7 @@ func querierStore(t *testing.T, cals []machine.Calibration) *Store {
 func TestQuerierMatchesUnboundLookup(t *testing.T) {
 	t.Run("oracle", testQuerierOracle)
 	t.Run("put after For", testQuerierSeesLaterPuts)
+	t.Run("concurrent puts", testQuerierConcurrentPuts)
 }
 
 func testQuerierOracle(t *testing.T) {
@@ -181,5 +183,74 @@ func testQuerierSeesLaterPuts(t *testing.T) {
 	}
 	if after.Confidence != Exact || after.BW != s.BW[1][1] {
 		t.Fatalf("after Put: %+v, want the stored cell %v exact", after, s.BW[1][1])
+	}
+}
+
+// testQuerierConcurrentPuts runs Lookups on several goroutines while
+// another stores surfaces one by one. Every answer is either the
+// model's or a stored cell, an answer once exact stays exact on its
+// goroutine (indexes are published in store order), and the writer's
+// own Lookup after each Put serves the surface it just stored. Run
+// under -race it also checks that the lock-free index read is sound.
+func testQuerierConcurrentPuts(t *testing.T) {
+	cal := machine.NewT3E(2).Calibration()
+	st := openTest(t, t.TempDir())
+	q := st.For(cal)
+	const puts, readers = 24, 3
+	stride := 4
+	ws := func(i int) units.Bytes { return units.Bytes(i+1) * 4 * units.KB }
+	bw := func(i int) units.BytesPerSec { return units.BytesPerSec(1e8 + float64(i)) }
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, readers+1)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var seen [puts]bool
+			for pass := 0; ; pass++ {
+				select {
+				case <-done:
+					if pass > 0 {
+						return
+					}
+				default:
+				}
+				for i := 0; i < puts; i++ {
+					res, err := q.Lookup(PatternLoad, machine.Fetch, ws(i), stride)
+					switch {
+					case err != nil:
+						errs <- err
+						return
+					case res.Confidence == Exact && res.BW == bw(i):
+						seen[i] = true
+					case seen[i]:
+						errs <- fmt.Errorf("ws %v: %+v after the stored cell was served", ws(i), res)
+						return
+					case res.Confidence != Analytic || res.BW != q.Model().LoadBW(ws(i), stride):
+						errs <- fmt.Errorf("ws %v: %+v, want the stored cell or the model", ws(i), res)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < puts; i++ {
+		strides, wss := []int{stride}, []units.Bytes{ws(i)}
+		s := surface.New(cal.Machine, "test", strides, wss)
+		s.CalHash = cal.Hash()
+		s.Set(0, 0, bw(i))
+		if err := st.PutSurface(surfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, strides, wss), s); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := q.Lookup(PatternLoad, machine.Fetch, ws(i), stride); err != nil || res.Confidence != Exact || res.BW != bw(i) {
+			t.Fatalf("Lookup after Put %d: %+v, %v", i, res, err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/probe"
 	"repro/internal/surface"
@@ -44,6 +45,10 @@ type Store struct {
 	byKey map[Key]int // index into man.Entries
 	lru   *lru
 	logf  func(format string, args ...any)
+	// gen counts changes to the set of servable artifacts: every
+	// PutSurface and every quarantine bumps it, under mu. A Querier
+	// reads it without the lock to tell whether its index is current.
+	gen atomic.Uint64
 
 	memHits     probe.Counter
 	diskHits    probe.Counter
@@ -251,6 +256,7 @@ func (s *Store) PutSurface(k Key, surf *surface.Surface) error {
 		s.man.Entries = append(s.man.Entries, e)
 		s.byKey[k] = len(s.man.Entries) - 1
 	}
+	s.gen.Add(1)
 	if err := s.writeManifest(); err != nil {
 		return err
 	}
@@ -290,6 +296,7 @@ func (s *Store) dropEntry(k Key, file string, cause error) {
 // stays inspectable but can never be served, and logs the cause.
 func (s *Store) quarantine(file string, cause error) {
 	s.quarantined.Inc()
+	s.gen.Add(1)
 	from := filepath.Join(s.dir, file)
 	to := from + ".quarantined"
 	if err := os.Rename(from, to); err != nil {

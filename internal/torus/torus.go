@@ -80,12 +80,6 @@ func (net *Network) Stats() Stats {
 	return Stats{MessagesSent: net.messagesSent.Get(), BytesSent: net.bytesSent.Get()}
 }
 
-// LinkBytes returns the bytes carried over links in dimension dim
-// (0=x,1=y,2=z) and direction dir (0=+,1=-).
-func (net *Network) LinkBytes(dim, dir int) units.Bytes {
-	return net.linkBytes[dim][dir].Get()
-}
-
 // New builds a torus network. Dimensions default to 1.
 func New(cfg Config) *Network {
 	if cfg.X < 1 {

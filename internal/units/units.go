@@ -141,11 +141,28 @@ func ParseBytes(s string) (Bytes, error) {
 	if u == "" {
 		return 0, fmt.Errorf("units: invalid size %q", s)
 	}
+	// An integer count is parsed exactly: float64 would round counts
+	// above 2^53.
+	if n, err := strconv.ParseInt(u, 10, 64); err == nil {
+		if n < 0 {
+			return 0, fmt.Errorf("units: invalid size %q", s)
+		}
+		if n > math.MaxInt64/int64(mult) {
+			return 0, fmt.Errorf("units: size %q is out of range", s)
+		}
+		return Bytes(n) * mult, nil
+	}
 	v, err := strconv.ParseFloat(u, 64)
 	if err != nil || v < 0 {
 		return 0, fmt.Errorf("units: invalid size %q", s)
 	}
 	b := v * float64(mult)
+	// NaN fails every comparison, so it falls through to the
+	// whole-number check; +Inf and anything at or past 2^63 would
+	// wrap negative in the int64 conversion.
+	if b >= 1<<63 {
+		return 0, fmt.Errorf("units: size %q is out of range", s)
+	}
 	if b != math.Trunc(b) {
 		return 0, fmt.Errorf("units: size %q is not a whole number of bytes", s)
 	}

@@ -2,6 +2,8 @@ package units
 
 import (
 	"math"
+	"regexp"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -243,6 +245,10 @@ func TestParseBytes(t *testing.T) {
 		{"1gIb", GB},
 		{"4Ki", 4 * KB},
 		{"16", 16},
+		// Integer counts are exact, up to the largest int64.
+		{"9007199254740993", 9007199254740993},
+		{"9223372036854775807", math.MaxInt64},
+		{"8589934591G", 8589934591 * GB},
 	}
 	for _, c := range cases {
 		got, err := ParseBytes(c.in)
@@ -257,9 +263,42 @@ func TestParseBytes(t *testing.T) {
 }
 
 func TestParseBytesRejects(t *testing.T) {
-	for _, in := range []string{"", "  ", "K", "8Q", "-1K", "-8", "abc", "1.5", "0.3K", "8 M M", "8i", "iB", "8QiB"} {
+	for _, in := range []string{"", "  ", "K", "8Q", "-1K", "-8", "abc", "1.5", "0.3K", "8 M M", "8i", "iB", "8QiB",
+		// Non-finite or at least 2^63 bytes: out of int64's range.
+		"1e30", "inf", "Infinity", "NaN", "9.3e18", "1e19k", "9223372036854775808", "8589934592G"} {
 		if got, err := ParseBytes(in); err == nil {
 			t.Errorf("ParseBytes(%q) = %v, want error", in, got)
 		}
 	}
+}
+
+// plainInt matches the inputs strconv.ParseInt reads in base 10.
+var plainInt = regexp.MustCompile(`^[+-]?[0-9]+$`)
+
+// FuzzParseBytes checks ParseBytes on arbitrary strings: it never
+// panics, a success is a non-negative size, and on a plain decimal
+// integer it agrees with strconv.ParseInt.
+//
+// Run it with: go test -run '^$' -fuzz '^FuzzParseBytes$' -fuzztime 3s ./internal/units
+func FuzzParseBytes(f *testing.F) {
+	for _, s := range []string{"8M", ".5k", "8MiB", "8388608", "0", "-0", "+16", "-8", "1e30", "inf", "NaN",
+		"9.3e18", "1e19k", "9007199254740993", "9223372036854775807", "9223372036854775808", "8589934591G", "0x10"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseBytes(s)
+		if err == nil && got < 0 {
+			t.Fatalf("ParseBytes(%q) = %d, want a non-negative size", s, int64(got))
+		}
+		if !plainInt.MatchString(s) {
+			return
+		}
+		n, perr := strconv.ParseInt(s, 10, 64)
+		if wantOK := perr == nil && n >= 0; wantOK != (err == nil) {
+			t.Fatalf("ParseBytes(%q) error %v, strconv.ParseInt gives %d, %v", s, err, n, perr)
+		}
+		if err == nil && int64(got) != n {
+			t.Fatalf("ParseBytes(%q) = %d, strconv.ParseInt gives %d", s, int64(got), n)
+		}
+	})
 }

@@ -21,17 +21,24 @@
 #                           then each native fuzz target for 3 s: the
 #                           serving layer's (FuzzBandwidth, FuzzBatch,
 #                           FuzzPlan) — no request body may panic the
-#                           handler or draw a 5xx — and the two
-#                           artifact decoders' (FuzzSurfaceSnapshot,
-#                           FuzzManifest) — no input may panic, and
-#                           accepted input re-marshals to its bytes
+#                           handler or draw a 5xx; its strict request
+#                           decoder's (FuzzRequestDecode) — it declines
+#                           a body or decodes what encoding/json does;
+#                           the size parser's (FuzzParseBytes) — no
+#                           panic, no negative size, and plain integers
+#                           read as strconv.ParseInt reads them; and
+#                           the two artifact decoders'
+#                           (FuzzSurfaceSnapshot, FuzzManifest) — no
+#                           input may panic, and accepted input
+#                           re-marshals to its bytes
 #   7. hot-primitive benchmarks — BenchmarkPrime, BenchmarkMeasure
 #                           and BenchmarkTransfer run once each, so
 #                           the host ns-per-access probes of a load
 #                           cell and the ns-per-word probes of a
 #                           transfer cell keep compiling and running;
 #                           so do memserve's load benchmarks,
-#                           BenchmarkServeSingle and BenchmarkServeBatch
+#                           BenchmarkServeSingle and BenchmarkServeBatch,
+#                           and its in-process BenchmarkHandler
 #   8. memtrace smoke     — one traced point end to end
 #   9. analytic validation — memchar -validate on a reduced grid
 #                           (working sets to 512K): every regime's
@@ -86,13 +93,14 @@ go test -race ./...
 
 echo "== fuzz (3 s per target) =="
 for spec in FuzzBandwidth:serve FuzzBatch:serve FuzzPlan:serve \
+    FuzzRequestDecode:serve FuzzParseBytes:units \
     FuzzSurfaceSnapshot:surface FuzzManifest:store; do
     go test -run '^$' -fuzz "^${spec%%:*}\$" -fuzztime 3s "./internal/${spec#*:}"
 done
 
 echo "== hot-primitive benchmarks (one iteration) =="
 go test -run '^$' -bench 'Prime|Measure|Transfer' -benchtime 1x ./internal/bench
-go test -run '^$' -bench '^Benchmark(ServeSingle|ServeBatch)$' -benchtime 1x ./internal/serve
+go test -run '^$' -bench '^Benchmark(ServeSingle|ServeBatch|Handler)$' -benchtime 1x ./internal/serve
 
 echo "== memtrace smoke =="
 go run ./cmd/memtrace -machine 8400 -ws 16K -stride 4 -out /dev/null
